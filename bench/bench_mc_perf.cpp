@@ -29,6 +29,51 @@ void BM_DbmCanonicalize(benchmark::State& state) {
 }
 BENCHMARK(BM_DbmCanonicalize)->Arg(4)->Arg(8)->Arg(16);
 
+/// The first `count` zones the pump Table-I exploration stores: the PSM
+/// with the REQ1 and REQ2 end-to-end probes, 13 clocks (dimension 14).
+std::vector<dbm::Dbm> pump_zones(std::size_t count) {
+  gpca::PumpModelOptions opt;
+  opt.include_empty_syringe = false;
+  const ta::Network pim = gpca::build_pump_pim(opt);
+  const core::PsmArtifacts psm =
+      core::transform(pim, gpca::pump_pim_info(pim), gpca::board_scheme(opt));
+  const core::InstrumentedPsmBatch batch = core::instrument_psm_for_requirements(
+      psm, {gpca::req1(opt), {"REQ2", "BolusReq", "StopInfusion", 2500}});
+  mc::ExploreOptions opts;
+  opts.jobs = 1;
+  mc::Reachability engine(batch.net, mc::when(ta::BoolExpr::truth()), opts);
+  std::vector<dbm::Dbm> zones;
+  engine.explore_all_ids(
+      [&](const mc::SymState& s, std::uint64_t) {
+        if (zones.size() < count) zones.push_back(s.zone);
+      },
+      [&] { return zones.size() >= count; });
+  return zones;
+}
+
+// Closure of real pump zones after an extrapolation-style loosening (one
+// upper bound dropped), the input shape canonicalize sees per successor.
+void BM_DbmCanonicalizePump(benchmark::State& state) {
+  std::vector<dbm::Dbm> inputs = pump_zones(1024);
+  for (dbm::Dbm& d : inputs) {
+    int clock = 1;
+    for (int c = 2; c <= d.num_clocks(); ++c)
+      if (!dbm::is_inf(d.upper(c)) && (dbm::is_inf(d.upper(clock)) || d.upper(c) > d.upper(clock)))
+        clock = c;
+    d.set(clock, 0, dbm::kInf);
+  }
+  state.counters["dim"] = inputs.front().dim();
+  std::size_t next = 0;
+  for (benchmark::State::StateIterator::value_type _ : state) {
+    (void)_;
+    dbm::Dbm copy = inputs[next];
+    next = (next + 1) % inputs.size();
+    copy.canonicalize();
+    benchmark::DoNotOptimize(copy.empty());
+  }
+}
+BENCHMARK(BM_DbmCanonicalizePump);
+
 void BM_DbmInclusion(benchmark::State& state) {
   const int clocks = static_cast<int>(state.range(0));
   dbm::Dbm a = dbm::Dbm::zero(clocks);
@@ -42,6 +87,41 @@ void BM_DbmInclusion(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DbmInclusion)->Arg(4)->Arg(16);
+
+// Both inclusion directions of BM_DbmInclusion in one relation pass.
+void BM_DbmRelation(benchmark::State& state) {
+  const int clocks = static_cast<int>(state.range(0));
+  dbm::Dbm a = dbm::Dbm::zero(clocks);
+  a.up();
+  dbm::Dbm b = a;
+  b.constrain(1, 0, dbm::bound_le(10));
+  for (benchmark::State::StateIterator::value_type _ : state) {
+    (void)_;
+    benchmark::DoNotOptimize(a.relation(b));
+  }
+}
+BENCHMARK(BM_DbmRelation)->Arg(4)->Arg(16);
+
+// Subsumption-scan shape on real pump zones: every zone against its
+// successor in exploration order, via relation vs the two includes calls.
+void BM_DbmRelationPump(benchmark::State& state) {
+  const std::vector<dbm::Dbm> zones = pump_zones(1024);
+  const bool one_pass = state.range(0) == 1;
+  std::size_t next = 0;
+  for (benchmark::State::StateIterator::value_type _ : state) {
+    (void)_;
+    const dbm::Dbm& a = zones[next];
+    next = (next + 1) % zones.size();
+    const dbm::Dbm& b = zones[next];
+    if (one_pass) {
+      benchmark::DoNotOptimize(a.relation(b));
+    } else {
+      benchmark::DoNotOptimize(a.includes(b));
+      benchmark::DoNotOptimize(b.includes(a));
+    }
+  }
+}
+BENCHMARK(BM_DbmRelationPump)->Arg(0)->Arg(1)->ArgNames({"relation"});
 
 void BM_PimReachability(benchmark::State& state) {
   gpca::PumpModelOptions opt;

@@ -1,6 +1,9 @@
 #include "dbm/dbm.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "util/error.h"
@@ -32,15 +35,83 @@ Dbm Dbm::universal(int num_clocks) {
   return d;
 }
 
+namespace {
+
+/// min(dij, dik + dkj) for a finite dik, as one branch-free lane: the sum
+/// is formed in unsigned arithmetic (a kInf operand makes it garbage but
+/// never overflows) and discarded for kInf in favour of kInf itself.
+inline raw_t relax(raw_t dij, raw_t dik, raw_t dkj) {
+  const auto sum = static_cast<raw_t>(static_cast<std::uint32_t>(dik) +
+                                      static_cast<std::uint32_t>(dkj) -
+                                      static_cast<std::uint32_t>((dik | dkj) & 1));
+  const raw_t via = dkj >= kInf ? kInf : sum;
+  return via < dij ? via : dij;
+}
+
+#if defined(__GNUC__) || defined(__clang__)
+// Four-lane kernels in GCC/Clang vector types, which both compilers lower
+// to SSE2/NEON at the default flags. Other compilers use the scalar loops.
+#define PSV_DBM_LANES 1
+constexpr std::size_t kLanes = 4;
+using lanes_t = raw_t __attribute__((vector_size(kLanes * sizeof(raw_t))));
+using ulanes_t = std::uint32_t __attribute__((vector_size(kLanes * sizeof(raw_t))));
+
+inline lanes_t load(const raw_t* p) {
+  lanes_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline bool any(lanes_t mask) {
+  std::uint64_t halves[2];
+  std::memcpy(halves, &mask, sizeof halves);
+  return (halves[0] | halves[1]) != 0;
+}
+
+inline lanes_t relax(lanes_t dij, raw_t dik, lanes_t dkj) {
+  const ulanes_t sum = std::bit_cast<ulanes_t>(dkj) + static_cast<std::uint32_t>(dik) -
+                       (std::bit_cast<ulanes_t>(dkj | dik) & 1u);
+  const lanes_t inf = dkj >= kInf;  // all-ones lanes where dkj is kInf
+  const lanes_t via = (std::bit_cast<lanes_t>(sum) & ~inf) | (kInf & inf);
+  const lanes_t lt = via < dij;
+  return (via & lt) | (dij & ~lt);
+}
+#endif
+
+/// Row update of one closure pass: di[j] = min(di[j], dik + dk[j]) for
+/// distinct rows di and dk. A row that is not a whole number of vectors
+/// ends with an overlapping vector, which is harmless: min is idempotent.
+inline void relax_row(raw_t* di, const raw_t* dk, raw_t dik, std::size_t dim) {
+#ifdef PSV_DBM_LANES
+  if (dim >= kLanes) {
+    const auto step = [&](std::size_t j) {
+      const lanes_t v = relax(load(di + j), dik, load(dk + j));
+      std::memcpy(di + j, &v, sizeof v);
+    };
+    std::size_t j = 0;
+    for (; j + kLanes <= dim; j += kLanes) step(j);
+    if (j < dim) step(dim - kLanes);
+    return;
+  }
+#endif
+  for (std::size_t j = 0; j < dim; ++j) di[j] = relax(di[j], dik, dk[j]);
+}
+
+}  // namespace
+
 void Dbm::canonicalize() {
-  for (int k = 0; k < dim_; ++k) {
-    for (int i = 0; i < dim_; ++i) {
-      const raw_t dik = at(i, k);
-      if (is_inf(dik)) continue;
-      for (int j = 0; j < dim_; ++j) {
-        const raw_t via = add(dik, at(k, j));
-        if (via < at(i, j)) set(i, j, via);
-      }
+  // Floyd-Warshall with pass k skipping row k: while D[k][k] >= (0,<=)
+  // that row cannot tighten, so row k is read-only during pass k and every
+  // other row relaxes against it independently. A pass whose pivot is
+  // already negative only decides emptiness, which the diagonal keeps.
+  const auto dim = static_cast<std::size_t>(dim_);
+  raw_t* d = data_.data();
+  for (std::size_t k = 0; k < dim; ++k) {
+    const raw_t* dk = d + k * dim;
+    for (std::size_t i = 0; i < dim; ++i) {
+      raw_t* di = d + i * dim;
+      if (i == k || is_inf(di[k])) continue;
+      relax_row(di, dk, di[k], dim);
     }
   }
   empty_ = false;
@@ -123,6 +194,44 @@ bool Dbm::includes(const Dbm& other) const {
     for (int j = 0; j < dim_; ++j)
       if (other.at(i, j) > at(i, j)) return false;
   return true;
+}
+
+Relation Dbm::relation(const Dbm& other) const {
+  PSV_ASSERT(dim_ == other.dim_, "zone dimension mismatch");
+  const raw_t* a = data_.data();
+  const raw_t* b = other.data_.data();
+  const std::size_t n = data_.size();
+#ifdef PSV_DBM_LANES
+  if (n >= kLanes) {
+    // Accumulate "some entry smaller" / "some entry larger" lane masks and
+    // stop once both are set: zones are mostly told apart in row 0.
+    lanes_t smaller{};
+    lanes_t larger{};
+    const auto step = [&](std::size_t k) {
+      const lanes_t x = load(a + k);
+      const lanes_t y = load(b + k);
+      smaller |= x < y;
+      larger |= x > y;
+    };
+    std::size_t k = 0;
+    for (; k + 2 * kLanes <= n; k += 2 * kLanes) {
+      step(k);
+      step(k + kLanes);
+      if (any(smaller) && any(larger)) return kDifferent;
+    }
+    for (; k + kLanes <= n; k += kLanes) step(k);
+    if (k < n) step(n - kLanes);
+    return static_cast<Relation>((any(larger) ? 0u : kSubset) | (any(smaller) ? 0u : kSuperset));
+  }
+#endif
+  bool subset = true;
+  bool superset = true;
+  for (std::size_t k = 0; k < n; ++k) {
+    subset = subset && a[k] <= b[k];
+    superset = superset && a[k] >= b[k];
+    if (!subset && !superset) return kDifferent;
+  }
+  return static_cast<Relation>((subset ? kSubset : 0u) | (superset ? kSuperset : 0u));
 }
 
 bool Dbm::intersects(int i, int j, raw_t bound) const {

@@ -14,6 +14,14 @@
 
 namespace psv::dbm {
 
+/// Outcome of Dbm::relation, as a bit set: kEqual == kSubset | kSuperset.
+enum Relation : unsigned {
+  kDifferent = 0,  ///< neither zone includes the other
+  kSubset = 1,     ///< this ⊆ other
+  kSuperset = 2,   ///< this ⊇ other
+  kEqual = 3,      ///< this == other
+};
+
 /// A clock zone as a difference bound matrix.
 ///
 /// Invariant maintained by all mutating operations except `set`: the matrix
@@ -40,7 +48,8 @@ class Dbm {
   /// True iff the zone contains no clock valuation.
   bool empty() const { return empty_; }
 
-  /// Close the matrix (Floyd-Warshall) and detect emptiness.
+  /// Close the matrix (Floyd-Warshall) and detect emptiness. A non-empty
+  /// result is entry-for-entry the textbook closure.
   void canonicalize();
 
   /// Intersect with the constraint x_i - x_j <= / < bound. Keeps canonical
@@ -59,6 +68,10 @@ class Dbm {
   /// True iff `other` is included in this zone (other ⊆ this). Both zones
   /// must be canonical and non-empty.
   bool includes(const Dbm& other) const;
+
+  /// Both inclusion directions in one pass over the matrices, stopping as
+  /// soon as neither can hold. Same preconditions as includes().
+  Relation relation(const Dbm& other) const;
 
   /// True iff intersecting with x_i - x_j ≺ bound would be non-empty.
   bool intersects(int i, int j, raw_t bound) const;
@@ -79,6 +92,11 @@ class Dbm {
 
   /// Hash of the canonical matrix contents.
   std::size_t hash() const;
+
+  /// The dim() x dim() entries, row-major. Writing through the mutable
+  /// overload invalidates canonical form until canonicalize(), like set().
+  const raw_t* data() const { return data_.data(); }
+  raw_t* data() { return data_.data(); }
 
   /// Render constraints, e.g. "x<=5 && y-x<2". `names[i]` labels clock i+1.
   std::string to_string(const std::vector<std::string>& clock_names) const;

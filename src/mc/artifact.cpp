@@ -366,14 +366,13 @@ std::optional<VerificationArtifact> ArtifactStore::load(const ArtifactKey& key) 
 
 bool ArtifactStore::store(const ArtifactKey& key, const VerificationArtifact& artifact) const {
   const std::vector<std::uint8_t> payload = artifact.serialize();
-  ByteWriter out;
-  out.raw(kMagic, sizeof kMagic);
-  out.u32(kArtifactFormatVersion);
-  out.raw(&kEndianMarker, sizeof kEndianMarker);  // native order on purpose
-  write_digest(out, key.digest);
-  out.u64(payload.size());
-  write_digest(out, digest128(payload.data(), payload.size()));
-  out.raw(payload.data(), payload.size());
+  ByteWriter header;
+  header.raw(kMagic, sizeof kMagic);
+  header.u32(kArtifactFormatVersion);
+  header.raw(&kEndianMarker, sizeof kEndianMarker);  // native order on purpose
+  write_digest(header, key.digest);
+  header.u64(payload.size());
+  write_digest(header, digest128(payload.data(), payload.size()));
 
   std::string tmp;
   auto discard_tmp = [&tmp]() {
@@ -394,8 +393,11 @@ bool ArtifactStore::store(const ArtifactKey& key, const VerificationArtifact& ar
         discard_tmp();
         return false;
       }
-      file.write(reinterpret_cast<const char*>(out.buffer().data()),
-                 static_cast<std::streamsize>(out.size()));
+      // Header and payload go out separately: the payload is never copied.
+      file.write(reinterpret_cast<const char*>(header.buffer().data()),
+                 static_cast<std::streamsize>(header.size()));
+      file.write(reinterpret_cast<const char*>(payload.data()),
+                 static_cast<std::streamsize>(payload.size()));
       if (!file.good()) {
         warn("short write on artifact '" + tmp + "'");
         discard_tmp();

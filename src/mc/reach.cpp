@@ -67,33 +67,57 @@ Reachability::Reachability(const ta::Network& net, const StateFormula& goal, Exp
 
 Reachability::~Reachability() = default;
 
-std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t parent,
-                                                  bool enforce_cap) {
-  SymState& state = gs.state;
-  const std::size_t shard_index = shard_of(gs.hash, kNumShards);
-  Shard& shard = shards_[shard_index];
-  auto& bucket = shard.passed[gs.hash];
-  for (std::uint32_t idx : bucket) {
-    const Stored& existing = shard.arena[idx];
-    if (existing.state.same_discrete(state) && existing.state.zone.includes(state.zone)) {
-      ++shard.subsumed;
-      // The subsumer now covers every behavior of the pruned successor; the
-      // export records that obligation against the parent.
-      if (capture_ && parent != kNoParent)
-        shard.cover_events.emplace_back(parent, pack_id(shard_index, idx));
-      return std::nullopt;
+std::optional<std::uint32_t> Reachability::admit(Shard& shard, std::size_t hash, Stored&& s,
+                                                  bool keep_subsumed, std::size_t limit) {
+  std::vector<DiscreteGroup>& groups = shard.passed[hash];
+  DiscreteGroup* group = nullptr;
+  for (DiscreteGroup& g : groups) {
+    if (shard.arena[g.rep].state.same_discrete(s.state)) {
+      group = &g;
+      break;
     }
   }
-  // Drop stored zones strictly included in the new one from the inclusion
-  // list (their arena entries stay alive for parent chains).
-  bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
-                              [&](std::uint32_t idx) {
-                                const Stored& existing = shard.arena[idx];
-                                return existing.state.same_discrete(state) &&
-                                       state.zone.includes(existing.state.zone);
-                              }),
-               bucket.end());
+  if (group != nullptr) {
+    // Drop the live zones `s` includes, compacting in place. Live zones form
+    // an antichain, so a zone including `s` can only turn up before any
+    // such drop — the subsumed exit never leaves a half-compacted list.
+    std::vector<std::uint32_t>& live = group->live;
+    std::size_t kept = 0;
+    for (std::size_t r = 0; r < live.size(); ++r) {
+      const dbm::Relation rel = shard.arena[live[r]].state.zone.relation(s.state.zone);
+      if (rel & dbm::kSuperset) {
+        PSV_ASSERT(kept == r, "live zones of a discrete state must form an antichain");
+        ++shard.subsumed;
+        if (keep_subsumed) {
+          shard.arena.push_back(std::move(s));
+          total_stored_.fetch_add(1, std::memory_order_relaxed);
+        }
+        return live[r];
+      }
+      if (rel != dbm::kSubset) live[kept++] = live[r];
+    }
+    live.resize(kept);
+  }
 
+  const std::size_t stored_now = total_stored_.load(std::memory_order_relaxed);
+  PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, stored_now < limit,
+                 "state-space exploration exceeded the configured limit of " +
+                     std::to_string(opts_.max_states) + " states");
+  const auto local = static_cast<std::uint32_t>(shard.arena.size());
+  shard.arena.push_back(std::move(s));
+  if (group != nullptr) {
+    group->live.push_back(local);
+  } else {
+    groups.push_back(DiscreteGroup{local, {local}});
+  }
+  total_stored_.fetch_add(1, std::memory_order_relaxed);
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t parent,
+                                                  bool enforce_cap) {
+  const std::size_t shard_index = shard_of(gs.hash, kNumShards);
+  Shard& shard = shards_[shard_index];
   // Sequential paths enforce the cap per insert (exact legacy behavior);
   // parallel waves skip it here — a check-then-act on the shared counter
   // would race — and the wave barrier in insert_wave() applies the same
@@ -102,16 +126,19 @@ std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t pa
   // twice the cap bounds transient memory on extreme-fan-out waves; it can
   // only fire in runs where the barrier check throws anyway, so the
   // throw/no-throw outcome stays deterministic.
-  const std::size_t stored_now = total_stored_.load(std::memory_order_relaxed);
-  PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, (enforce_cap ? stored_now < opts_.max_states : stored_now < hard_state_limit_),
-              "state-space exploration exceeded the configured limit of " +
-                  std::to_string(opts_.max_states) + " states");
-  const std::size_t local = shard.arena.size();
-  shard.arena.push_back(Stored{std::move(state), parent, std::move(gs.label), std::move(gs.edges),
-                               std::move(gs.pre_zone), gs.pre_differs});
-  bucket.push_back(static_cast<std::uint32_t>(local));
-  total_stored_.fetch_add(1, std::memory_order_relaxed);
-  return pack_id(shard_index, local);
+  const std::optional<std::uint32_t> cover =
+      admit(shard, gs.hash,
+            Stored{std::move(gs.state), parent, std::move(gs.label), std::move(gs.edges),
+                   std::move(gs.pre_zone), gs.pre_differs},
+            /*keep_subsumed=*/false, enforce_cap ? opts_.max_states : hard_state_limit_);
+  if (cover) {
+    // The subsumer now covers every behavior of the pruned successor; the
+    // export records that obligation against the parent.
+    if (capture_ && parent != kNoParent)
+      shard.cover_events.emplace_back(parent, pack_id(shard_index, *cover));
+    return std::nullopt;
+  }
+  return pack_id(shard_index, shard.arena.size() - 1);
 }
 
 std::uint64_t Reachability::seed_initial() {
@@ -662,38 +689,19 @@ bool Reachability::seed_from_store(
     if (i > 0) has_live_child[static_cast<std::size_t>(entry.parent)] = 1;
 
     // Seed the arena unconditionally (seeds serve as parents and visit
-    // targets even when subsumed); the inclusion bucket only accepts
-    // non-subsumed zones, with the usual erase discipline.
+    // targets even when subsumed); only non-subsumed zones become live.
     const std::size_t hash = state.discrete_hash();
     const std::size_t shard_index = shard_of(hash, kNumShards);
     Shard& shard = shards_[shard_index];
-    auto& bucket = shard.passed[hash];
-    bool subsumed = false;
-    for (std::uint32_t idx : bucket) {
-      const Stored& existing = shard.arena[idx];
-      if (existing.state.same_discrete(state) && existing.state.zone.includes(state.zone)) {
-        subsumed = true;
-        break;
-      }
-    }
-    if (subsumed) {
-      ++shard.subsumed;
-    } else {
-      bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
-                                  [&](std::uint32_t idx) {
-                                    const Stored& existing = shard.arena[idx];
-                                    return existing.state.same_discrete(state) &&
-                                           state.zone.includes(existing.state.zone);
-                                  }),
-                   bucket.end());
-    }
     const std::size_t local = shard.arena.size();
     const std::uint64_t parent_id =
         i == 0 ? kNoParent : packed[static_cast<std::size_t>(entry.parent)];
-    shard.arena.push_back(Stored{std::move(state), parent_id, std::string(entry.label),
-                                 entry.edges, std::move(pre), pre_differs});
-    if (!subsumed) bucket.push_back(static_cast<std::uint32_t>(local));
-    total_stored_.fetch_add(1, std::memory_order_relaxed);
+    const bool subsumed =
+        admit(shard, hash,
+              Stored{std::move(state), parent_id, std::string(entry.label), entry.edges,
+                     std::move(pre), pre_differs},
+              /*keep_subsumed=*/true, std::numeric_limits<std::size_t>::max())
+            .has_value();
     packed[i] = pack_id(shard_index, local);
     accepted[i] = subsumed ? 0 : 1;
     if (capture_) order_.push_back(packed[i]);

@@ -170,13 +170,20 @@ class Reachability {
     bool pre_differs = false;
   };
 
+  /// The live (non-subsumed) zones of one exact discrete state, in
+  /// insertion order. No live zone includes another.
+  struct DiscreteGroup {
+    std::uint32_t rep = 0;            ///< arena index carrying the discrete part
+    std::vector<std::uint32_t> live;  ///< arena indices
+  };
+
   /// One hash partition of the passed/waiting store. During a parallel
   /// insertion phase each shard is touched by exactly one worker
   /// ("owner-computes"), so no per-shard lock is needed.
   struct Shard {
     std::vector<Stored> arena;
-    /// discrete-hash -> arena indices with live (non-subsumed) zones.
-    std::unordered_map<std::size_t, std::vector<std::uint32_t>> passed;
+    /// discrete-hash -> one group per distinct discrete state.
+    std::unordered_map<std::size_t, std::vector<DiscreteGroup>> passed;
     std::size_t subsumed = 0;
     /// (rank, id) pairs accepted in the current wave, rank-ascending.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> accepted;
@@ -226,6 +233,16 @@ class Reachability {
   /// barrier instead, where the check is deterministic.
   std::optional<std::uint64_t> insert(GenSucc&& gs, std::uint64_t parent,
                                       bool enforce_cap = true);
+
+  /// The subsumption discipline shared by insert() and seed_from_store().
+  /// One relation pass over the live zones of `s`'s exact discrete group:
+  /// if one of them includes `s`, returns its arena index (the first in
+  /// insertion order) and counts `s` as subsumed; otherwise drops the live
+  /// zones `s` includes and makes `s` live. `s` is appended to the arena
+  /// unless it is subsumed and `keep_subsumed` is false. Throws when `s`
+  /// would be live and `limit` states are already stored.
+  std::optional<std::uint32_t> admit(Shard& shard, std::size_t hash, Stored&& s,
+                                     bool keep_subsumed, std::size_t limit);
 
   /// Store the initial state and seed the frontier.
   std::uint64_t seed_initial();

@@ -14,17 +14,17 @@ void hash_cc(Hasher128& h, const ta::ClockConstraint& cc) {
   h.i32(cc.bound);
 }
 
+std::size_t zone_entries(int dim) {
+  return static_cast<std::size_t>(dim) * static_cast<std::size_t>(dim);
+}
+
 void write_zone(ByteWriter& out, const dbm::Dbm& zone) {
-  const int dim = zone.dim();
-  for (int i = 0; i < dim; ++i)
-    for (int j = 0; j < dim; ++j) out.i32(zone.at(i, j));
+  out.i32_array(zone.data(), zone_entries(zone.dim()));
 }
 
 dbm::Dbm read_zone(ByteReader& in, int num_clocks) {
   dbm::Dbm zone(num_clocks);
-  const int dim = zone.dim();
-  for (int i = 0; i < dim; ++i)
-    for (int j = 0; j < dim; ++j) zone.set(i, j, in.i32());
+  in.i32_array(zone.data(), zone_entries(zone.dim()));
   zone.canonicalize();
   PSV_REQUIRE_AS(ErrorCode::kProtocol, !zone.empty(),
                  "passed-store payload carries an empty zone");

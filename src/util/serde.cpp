@@ -1,5 +1,6 @@
 #include "util/serde.h"
 
+#include <bit>
 #include <cstring>
 
 #include "util/error.h"
@@ -27,6 +28,14 @@ void ByteWriter::str(const std::string& s) {
 void ByteWriter::raw(const void* data, std::size_t size) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   buf_.insert(buf_.end(), p, p + size);
+}
+
+void ByteWriter::i32_array(const std::int32_t* data, std::size_t count) {
+  if constexpr (std::endian::native == std::endian::little) {
+    raw(data, count * sizeof(std::int32_t));
+  } else {
+    for (std::size_t k = 0; k < count; ++k) i32(data[k]);
+  }
 }
 
 void ByteReader::need(std::size_t n) const {
@@ -82,6 +91,23 @@ void ByteReader::raw(void* out, std::size_t size) {
   need(size);
   std::memcpy(out, data_ + pos_, size);
   pos_ += size;
+}
+
+void ByteReader::i32_array(std::int32_t* out, std::size_t count) {
+  PSV_REQUIRE_AS(::psv::ErrorCode::kProtocol, count <= remaining() / sizeof(std::int32_t),
+                 "truncated binary artifact: " + std::to_string(count) +
+                     " int32 values exceed " + std::to_string(remaining()) + " remaining bytes");
+  const std::uint8_t* p = data_ + pos_;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, p, count * sizeof(std::int32_t));
+  } else {
+    for (std::size_t k = 0; k < count; ++k, p += 4) {
+      std::uint32_t v = 0;
+      for (int b = 0; b < 4; ++b) v |= static_cast<std::uint32_t>(p[b]) << (8 * b);
+      out[k] = static_cast<std::int32_t>(v);
+    }
+  }
+  pos_ += count * sizeof(std::int32_t);
 }
 
 std::size_t ByteReader::length(std::size_t min_element_size) {

@@ -1,10 +1,11 @@
 // Small versioned binary (de)serialization helpers for persistent artifacts.
 //
 // The encoding is deliberately dumb and stable: fixed-width little-endian
-// integers written byte-by-byte (no memcpy of host-endian words), strings and
-// blobs length-prefixed. ByteReader is fully bounds-checked — every read
-// validates the remaining size and throws psv::Error on truncation or
-// overflow, so a corrupted or hostile file can never read out of bounds;
+// integers (host words are copied wholesale only on little-endian hosts,
+// where that is the same bytes), strings and blobs length-prefixed.
+// ByteReader is fully bounds-checked — every read validates the remaining
+// size and throws psv::Error on truncation or overflow, so a corrupted or
+// hostile file can never read out of bounds;
 // callers that must never fail (cache loaders) catch the error and fall back.
 #pragma once
 
@@ -30,6 +31,8 @@ class ByteWriter {
   /// Length-prefixed string.
   void str(const std::string& s);
   void raw(const void* data, std::size_t size);
+  /// `count` consecutive i32() values in one append (no length prefix).
+  void i32_array(const std::int32_t* data, std::size_t count);
 
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -57,6 +60,9 @@ class ByteReader {
   /// Length-prefixed string; the length is validated against the remainder.
   std::string str();
   void raw(void* out, std::size_t size);
+  /// Inverse of ByteWriter::i32_array: `count` i32() values, bounds-checked
+  /// once up front (a count whose byte size overflows throws too).
+  void i32_array(std::int32_t* out, std::size_t count);
   /// Read a length prefix intended to count upcoming elements, validating it
   /// against the bytes actually remaining (each element consumes at least
   /// `min_element_size` bytes) so a corrupted count cannot drive a huge

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <tuple>
 #include <vector>
@@ -333,6 +334,149 @@ TEST_P(RandomZoneTest, CanonicalFormIsIdempotent) {
   if (!d.empty()) {
     EXPECT_TRUE(d == again);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracles for the closure and relation kernels: the textbook
+// loops they replace, run on random zones of dimensions that cover the
+// scalar path, whole vectors, and rows ending in a partial vector.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr int kOracleClocks[] = {0, 1, 2, 3, 4, 5, 7, 8, 13, 16};
+
+// The reference closure: Floyd-Warshall over every (k, i, j), pivot rows
+// included, through the branching add(). Returns the emptiness verdict.
+bool textbook_close(Dbm& d) {
+  const int n = d.dim();
+  for (int k = 0; k < n; ++k) {
+    for (int i = 0; i < n; ++i) {
+      const raw_t dik = d.at(i, k);
+      if (is_inf(dik)) continue;
+      for (int j = 0; j < n; ++j) {
+        const raw_t via = add(dik, d.at(k, j));
+        if (via < d.at(i, j)) d.set(i, j, via);
+      }
+    }
+  }
+  for (int i = 0; i < n; ++i)
+    if (d.at(i, i) < kLeZero) return true;
+  return false;
+}
+
+// A canonical zone over `clocks` clocks from a few random constraints,
+// sometimes delayed; small constants so that random pairs often nest.
+Dbm random_closed_zone(std::mt19937& gen, int clocks) {
+  Dbm d = Dbm::universal(clocks);
+  if (clocks == 0) return d;
+  std::uniform_int_distribution<int> clock_dist(0, clocks);
+  std::uniform_int_distribution<int> const_dist(-kMaxConst, kMaxConst);
+  std::uniform_int_distribution<int> coin(0, 1);
+  std::uniform_int_distribution<int> count_dist(1, clocks + 2);
+  const int n = count_dist(gen);
+  for (int k = 0; k < n; ++k) {
+    const int i = clock_dist(gen);
+    int j = clock_dist(gen);
+    while (j == i) j = clock_dist(gen);
+    Dbm next = d;
+    if (next.constrain(i, j, make_bound(const_dist(gen), coin(gen) == 1))) d = next;
+    if (coin(gen) == 1 && k == n / 2) d.up();
+  }
+  return d;
+}
+
+// A raw matrix shaped like the closure's real inputs: a canonical zone
+// loosened the way extrapolation loosens it (entries raised to a weaker
+// bound or to kInf, whole clock rows to kInf), sometimes with a negative
+// cycle injected.
+Dbm raw_closure_input(std::mt19937& gen, int clocks) {
+  Dbm d = random_closed_zone(gen, clocks);
+  if (clocks == 0) return d;
+  std::uniform_int_distribution<int> clock_dist(0, clocks);
+  std::uniform_int_distribution<int> real_clock_dist(1, clocks);
+  std::uniform_int_distribution<int> const_dist(0, 3 * kMaxConst);
+  std::uniform_int_distribution<int> choice(0, 3);
+  const int loosen = choice(gen) + 1;
+  for (int k = 0; k < loosen; ++k) {
+    const int i = clock_dist(gen);
+    int j = clock_dist(gen);
+    while (j == i) j = clock_dist(gen);
+    if (i != 0 && choice(gen) == 0) {
+      d.set(i, j, kInf);
+    } else if (!is_inf(d.at(i, j))) {
+      d.set(i, j, std::max(d.at(i, j), bound_lt(-const_dist(gen))));
+    }
+  }
+  if (choice(gen) == 0) {
+    const int x = real_clock_dist(gen);
+    for (int j = 0; j <= clocks; ++j)
+      if (j != x) d.set(x, j, kInf);
+  }
+  if (choice(gen) == 0) {
+    const int i = clock_dist(gen);
+    int j = clock_dist(gen);
+    while (j == i) j = clock_dist(gen);
+    const int v = const_dist(gen);
+    d.set(i, j, bound_le(v));
+    d.set(j, i, bound_lt(-v));  // (v,<=) + (-v,<) = (0,<): a negative cycle
+  }
+  return d;
+}
+
+unsigned expected_relation(const Dbm& a, const Dbm& b) {
+  return (b.includes(a) ? kSubset : 0u) | (a.includes(b) ? kSuperset : 0u);
+}
+
+}  // namespace
+
+TEST_P(RandomZoneTest, ClosureMatchesTextbookFloydWarshall) {
+  std::mt19937 gen(static_cast<unsigned>(GetParam() + 5000));
+  int empties = 0;
+  for (int clocks : kOracleClocks) {
+    for (int rep = 0; rep < 12; ++rep) {
+      const Dbm input = raw_closure_input(gen, clocks);
+      Dbm expected = input;
+      const bool expected_empty = textbook_close(expected);
+      Dbm closed = input;
+      closed.canonicalize();
+      ASSERT_EQ(closed.empty(), expected_empty) << "clocks " << clocks << " rep " << rep;
+      empties += expected_empty ? 1 : 0;
+      if (expected_empty) continue;
+      for (int i = 0; i < closed.dim(); ++i)
+        for (int j = 0; j < closed.dim(); ++j)
+          ASSERT_EQ(closed.at(i, j), expected.at(i, j))
+              << "clocks " << clocks << " rep " << rep << " entry (" << i << "," << j << ")";
+    }
+  }
+  EXPECT_GT(empties, 0) << "the negative-cycle inputs must reach the emptiness verdict";
+}
+
+TEST_P(RandomZoneTest, RelationAgreesWithBothIncludes) {
+  std::mt19937 gen(static_cast<unsigned>(GetParam() + 6000));
+  bool saw_strict_nesting = false;
+  for (int clocks : kOracleClocks) {
+    std::uniform_int_distribution<int> clock_dist(0, clocks);
+    std::uniform_int_distribution<int> const_dist(-kMaxConst, kMaxConst);
+    for (int rep = 0; rep < 12; ++rep) {
+      const Dbm a = random_closed_zone(gen, clocks);
+      const Dbm b = random_closed_zone(gen, clocks);
+      EXPECT_EQ(a.relation(b), expected_relation(a, b));
+      EXPECT_EQ(b.relation(a), expected_relation(b, a));
+      EXPECT_EQ(a.relation(Dbm(a)), kEqual);
+      if (clocks == 0) continue;
+      Dbm nested = a;
+      const int i = clock_dist(gen);
+      int j = clock_dist(gen);
+      while (j == i) j = clock_dist(gen);
+      if (!nested.constrain(i, j, bound_le(const_dist(gen)))) continue;
+      EXPECT_EQ(nested.relation(a), expected_relation(nested, a));
+      EXPECT_EQ(a.relation(nested), expected_relation(a, nested));
+      EXPECT_TRUE(nested.relation(a) & kSubset);
+      saw_strict_nesting = saw_strict_nesting || nested.relation(a) == kSubset;
+    }
+  }
+  EXPECT_TRUE(saw_strict_nesting);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomZoneTest, ::testing::Range(0, 20));
