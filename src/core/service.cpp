@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
-#include <random>
 #include <sstream>
 #include <utility>
 
 #include "mc/artifact.h"
 #include "ta/print.h"
 #include "util/error.h"
-#include "util/hash.h"
 #include "util/table.h"
 
 namespace psv::core {
@@ -30,32 +26,7 @@ mc::ExploreStats explore_delta(const mc::ExploreStats& now, const mc::ExploreSta
   d.states_explored = now.states_explored - before.states_explored;
   d.transitions_fired = now.transitions_fired - before.transitions_fired;
   d.subsumed = now.subsumed - before.subsumed;
-  d.warm_states_reused = now.warm_states_reused - before.warm_states_reused;
-  d.warm_states_revalidated = now.warm_states_revalidated - before.warm_states_revalidated;
-  d.warm_seed_expansions = now.warm_seed_expansions - before.warm_seed_expansions;
   return d;
-}
-
-/// Parse a 32-char lowercase-hex digest (Digest128::hex()'s rendering);
-/// returns nullopt on anything else.
-std::optional<Digest128> parse_digest_hex(const std::string& hex) {
-  if (hex.size() != 32) return std::nullopt;
-  std::uint64_t words[2] = {0, 0};
-  for (int w = 0; w < 2; ++w) {
-    for (int i = 0; i < 16; ++i) {
-      const char c = hex[static_cast<std::size_t>(w * 16 + i)];
-      std::uint64_t nibble = 0;
-      if (c >= '0' && c <= '9') {
-        nibble = static_cast<std::uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        nibble = static_cast<std::uint64_t>(c - 'a') + 10;
-      } else {
-        return std::nullopt;
-      }
-      words[w] = (words[w] << 4) | nibble;
-    }
-  }
-  return Digest128{words[0], words[1]};
 }
 
 }  // namespace
@@ -206,92 +177,6 @@ std::size_t Verifier::pooled_sessions() const {
   return pool_.size();
 }
 
-void Verifier::adopt_ancestor_if_any(mc::VerificationSession& session,
-                                     const std::optional<mc::ArtifactStore>& store) {
-  // A session that already holds a store — warm-loaded from its own
-  // artifact, or queried before — needs no ancestor: its memo (and its own
-  // store) already serve everything an ancestor could.
-  if (session.exported_store() != nullptr) return;
-  const std::string skeleton = session.skeleton().hex();
-  std::shared_ptr<const mc::PassedStoreExport> ancestor;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const auto it = ancestors_.find(skeleton); it != ancestors_.end()) ancestor = it->second;
-  }
-  if (ancestor == nullptr && store.has_value()) {
-    // Disk fallback: the `.psvanc` pointer file names the artifact key of
-    // the last session that exported a store for this skeleton. Any failure
-    // (missing file, bad contents, evicted artifact) is a silent cold run.
-    const std::string pointer_path =
-        (std::filesystem::path(store->dir()) / (skeleton + ".psvanc")).string();
-    std::ifstream pointer(pointer_path);
-    std::string key_hex;
-    if (pointer.good() && std::getline(pointer, key_hex)) {
-      if (const std::optional<Digest128> key = parse_digest_hex(key_hex); key.has_value()) {
-        if (std::optional<mc::VerificationArtifact> artifact =
-                store->load(mc::ArtifactKey{*key});
-            artifact.has_value() && artifact->store.has_value() &&
-            artifact->skeleton == session.skeleton()) {
-          ancestor =
-              std::make_shared<const mc::PassedStoreExport>(std::move(*artifact->store));
-          std::lock_guard<std::mutex> lock(mu_);
-          ancestors_.emplace(skeleton, ancestor);
-        }
-      }
-    }
-  }
-  if (ancestor != nullptr) session.adopt_ancestor(std::move(ancestor));
-}
-
-void Verifier::pin_ancestor(const std::string& skeleton_hex) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++pinned_[skeleton_hex];
-}
-
-void Verifier::unpin_ancestor(const std::string& skeleton_hex) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = pinned_.find(skeleton_hex);
-  if (it != pinned_.end() && --it->second <= 0) pinned_.erase(it);
-}
-
-void Verifier::publish_ancestor(const mc::VerificationSession& session,
-                                const std::optional<mc::ArtifactStore>& store) {
-  std::shared_ptr<const mc::PassedStoreExport> exported = session.exported_store();
-  if (exported == nullptr) return;
-  const std::string skeleton = session.skeleton().hex();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // A pinned skeleton keeps its first published export (and its on-disk
-    // pointer): every candidate of a synthesis fan-out warm-starts from the
-    // SAME ancestor rather than from whichever sibling finished last.
-    if (pinned_.count(skeleton) != 0 && ancestors_.count(skeleton) != 0) return;
-    ancestors_[skeleton] = exported;
-  }
-  if (!store.has_value()) return;
-  // Point the skeleton at this session's artifact on disk (temp + rename so
-  // concurrent publishers cannot tear the pointer). Best effort: a failed
-  // write only costs a future cold start.
-  try {
-    std::filesystem::create_directories(store->dir());
-    const std::string path =
-        (std::filesystem::path(store->dir()) / (skeleton + ".psvanc")).string();
-    const std::string tmp = path + ".tmp." + std::to_string(std::random_device{}());
-    {
-      std::ofstream file(tmp, std::ios::trunc);
-      if (!file.good()) return;
-      file << session.cache_key().hex() << "\n";
-      if (!file.good()) {
-        std::error_code ec;
-        std::filesystem::remove(tmp, ec);
-        return;
-      }
-    }
-    std::filesystem::rename(tmp, path);
-  } catch (const std::filesystem::filesystem_error&) {
-    // Best effort only.
-  }
-}
-
 VerifyReport Verifier::verify(const VerifyRequest& request) {
   PSV_REQUIRE_AS(::psv::ErrorCode::kModel, !request.requirements.empty(), "VerifyRequest carries no timing requirements");
   PSV_REQUIRE_AS(::psv::ErrorCode::kModel, !request.schemes.empty(), "VerifyRequest carries no implementation schemes");
@@ -327,11 +212,9 @@ VerifyReport Verifier::verify(const VerifyRequest& request) {
       slot->session->load(*store);
       slot->load_attempted = true;
     }
-    adopt_ancestor_if_any(*slot->session, store);
     pim_batch = verify_pim_requirements_in_session(*slot->session, pim_probes, reqs,
                                                    opts.search_limit, store.has_value());
     if (store) slot->session->store(*store);
-    publish_ancestor(*slot->session, store);
   }
   report.pim_stages.push_back(VerifyStageStats{"pim-verification", ms_since(start),
                                                pim_batch.stats, pim_batch.explorations,
@@ -364,7 +247,6 @@ VerifyReport Verifier::verify(const VerifyRequest& request) {
       session.load(*store);
       slot->load_attempted = true;
     }
-    adopt_ancestor_if_any(session, store);
     sv.stages.push_back(VerifyStageStats{"transform", ms_since(start), {}, 0, {}});
 
     const BoundQueryPlan plan = plan_bound_queries(sv.psm, instrumented.mc_probes, reqs,
@@ -404,7 +286,6 @@ VerifyReport Verifier::verify(const VerifyRequest& request) {
         session.stats().explorations - before.explorations,
         mc::stage_cache_delta(session, before, store.has_value())});
     if (store) session.store(*store);
-    publish_ancestor(session, store);
 
     // [5] P(delta) and P(delta') per requirement follow from the exact
     // verified maxima — no further exploration.

@@ -184,16 +184,6 @@ class Verifier {
   /// Sessions currently pooled (diagnostic).
   std::size_t pooled_sessions() const;
 
-  /// Pin the published warm-start ancestor of a skeleton (hex of
-  /// ta::skeleton_digest): while pinned, publish_ancestor keeps the pinned
-  /// export instead of replacing it, so a fan-out of structurally-identical
-  /// requests (scheme synthesis) all adopt ONE shared read-only
-  /// PassedStoreExport — a shared_ptr copy per candidate, never a
-  /// re-deserialization. A pin with no published ancestor yet pins
-  /// whichever export is published first.
-  void pin_ancestor(const std::string& skeleton_hex);
-  void unpin_ancestor(const std::string& skeleton_hex);
-
  private:
   /// One pooled session; `mu` serializes queries from concurrent requests.
   struct Slot {
@@ -206,30 +196,10 @@ class Verifier {
   /// caller must lock slot->mu before touching the session.
   std::shared_ptr<Slot> acquire(ta::Network&& net, const mc::ExploreOptions& explore);
 
-  /// Incremental exploration: hand `session` a warm-start ancestor store
-  /// when one with a matching network skeleton is known — pooled in memory,
-  /// or recorded on disk by a `<skeleton-hex>.psvanc` pointer file next to
-  /// the artifacts. No-op when the session already has a store of its own
-  /// (warm-loaded or previously queried).
-  void adopt_ancestor_if_any(mc::VerificationSession& session,
-                             const std::optional<mc::ArtifactStore>& store);
-
-  /// Publish `session`'s exported passed store as the warm-start ancestor
-  /// for its skeleton: into the in-memory index, and (when a cache directory
-  /// is active) as a `<skeleton-hex>.psvanc` pointer to the session's
-  /// artifact key so later processes find it too.
-  void publish_ancestor(const mc::VerificationSession& session,
-                        const std::optional<mc::ArtifactStore>& store);
-
   Config config_;
-  mutable std::mutex mu_;  ///< guards pool_, lru_ and ancestors_
+  mutable std::mutex mu_;  ///< guards pool_ and lru_
   std::unordered_map<std::string, std::shared_ptr<Slot>> pool_;
   std::list<std::string> lru_;  ///< most recently used at the back
-  /// skeleton-digest hex -> newest exported passed store for that skeleton.
-  std::unordered_map<std::string, std::shared_ptr<const mc::PassedStoreExport>> ancestors_;
-  /// Skeletons whose ancestors_ entry is frozen (see pin_ancestor). The
-  /// value counts nested pins.
-  std::unordered_map<std::string, int> pinned_;
 };
 
 }  // namespace psv::core

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "core/analysis.h"
-#include "ta/fingerprint.h"
 #include "util/error.h"
 
 namespace psv::core {
@@ -20,7 +19,7 @@ namespace psv::core {
 namespace {
 
 // NN-chain ordering is O(N^2 * axes); beyond this many candidates fall back
-// to lattice order, whose row-major adjacency is already warm-friendly.
+// to lattice order, whose row-major adjacency is already neighbour-first.
 constexpr std::size_t kNnOrderCap = 4096;
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -44,8 +43,8 @@ std::vector<std::size_t> axis_coords(const std::vector<SweepAxis>& axes, std::si
 
 /// Greedy nearest-neighbour chain from the all-LO corner: at every step the
 /// unvisited candidate closest (L1 in step units, ties to the smaller
-/// index) to the current one comes next, maximizing the expected overlap
-/// with the shared warm-start ancestor.
+/// index) to the current one comes next, so a bound-missing candidate's
+/// dominance fence reaches its neighbours before they are explored.
 std::vector<std::size_t> nn_chain_order(const std::vector<SweepAxis>& axes, std::size_t n) {
   std::vector<std::vector<std::size_t>> coords(n);
   for (std::size_t i = 0; i < n; ++i) coords[i] = axis_coords(axes, i);
@@ -113,19 +112,8 @@ bool dominates(const std::vector<SweepAxis>& axes, const std::vector<std::int32_
   return strict;
 }
 
-void add_stats(mc::ExploreStats& into, const mc::ExploreStats& from) {
-  into.states_stored += from.states_stored;
-  into.states_explored += from.states_explored;
-  into.transitions_fired += from.transitions_fired;
-  into.subsumed += from.subsumed;
-  into.warm_states_reused += from.warm_states_reused;
-  into.warm_states_revalidated += from.warm_states_revalidated;
-  into.warm_seed_expansions += from.warm_seed_expansions;
-}
-
 bool explored(const CandidateOutcome& c) {
-  return c.status == CandidateOutcome::Status::kExploredCold ||
-         c.status == CandidateOutcome::Status::kExploredWarm;
+  return c.status == CandidateOutcome::Status::kExploredCold;
 }
 
 /// Shared mutable search state of one run.
@@ -148,21 +136,11 @@ struct SearchState {
   std::atomic<std::size_t> next{0};
 };
 
-/// Releases a Verifier ancestor pin on scope exit (including error paths).
-struct PinGuard {
-  Verifier* verifier = nullptr;
-  std::string skeleton_hex;
-  ~PinGuard() {
-    if (verifier != nullptr) verifier->unpin_ancestor(skeleton_hex);
-  }
-};
-
 }  // namespace
 
 const char* to_string(CandidateOutcome::Status status) {
   switch (status) {
     case CandidateOutcome::Status::kExploredCold: return "explored-cold";
-    case CandidateOutcome::Status::kExploredWarm: return "explored-warm";
     case CandidateOutcome::Status::kPrunedAnalytic: return "pruned-analytic";
     case CandidateOutcome::Status::kPrunedDominated: return "pruned-dominated";
   }
@@ -283,12 +261,9 @@ SynthReport SchemeSynthesizer::run(const SynthRequest& request) {
         misses_bound = true;
       }
     }
-    for (const VerifyStageStats& stage : sv.stages) add_stats(out.explore, stage.explore);
-    const bool warm = out.explore.warm_seed_expansions + out.explore.warm_states_reused +
-                          out.explore.warm_states_revalidated >
-                      0;
-    out.status = warm ? CandidateOutcome::Status::kExploredWarm
-                      : CandidateOutcome::Status::kExploredCold;
+    for (const VerifyStageStats& stage : sv.stages)
+      mc::accumulate_stats(out.explore, stage.explore);
+    out.status = CandidateOutcome::Status::kExploredCold;
 
     {
       std::lock_guard<std::mutex> lock(state.mu);
@@ -311,37 +286,13 @@ SynthReport SchemeSynthesizer::run(const SynthRequest& request) {
     report.candidates[index] = std::move(out);
   };
 
-  // Serial warm-up: walk the visit order until one candidate has actually
-  // been explored — its exported passed store becomes the shared ancestor —
-  // then pin that skeleton so the parallel fan-out adopts one frozen,
-  // read-only export.
-  std::size_t cursor = 0;
-  PinGuard pin;
-  for (; cursor < order.size(); ++cursor) {
-    const std::size_t index = order[cursor];
-    evaluate(index);
-    if (!explored(report.candidates[index])) continue;
-    const PsmArtifacts psm = transform(request.pim, info,
-                                       request.tmpl.instantiate(report.candidates[index].values),
-                                       request.options.transform);
-    const InstrumentedPsmBatch batch =
-        instrument_psm_for_requirements(psm, request.requirements);
-    pin.skeleton_hex = ta::skeleton_digest(batch.net).hex();
-    pin.verifier = &verifier_;
-    verifier_.pin_ancestor(pin.skeleton_hex);
-    ++cursor;
-    break;
-  }
-
-  // Parallel fan-out over the rest of the visit order.
-  if (cursor < order.size()) {
-    state.next.store(cursor);
+  // Parallel fan-out over the visit order.
+  if (!order.empty()) {
     unsigned workers = request.synth.workers != 0
                            ? request.synth.workers
                            : std::min(std::thread::hardware_concurrency(), 8u);
     if (workers == 0) workers = 1;
-    workers = static_cast<unsigned>(
-        std::min<std::size_t>(workers, order.size() - cursor));
+    workers = static_cast<unsigned>(std::min<std::size_t>(workers, order.size()));
 
     std::mutex err_mu;
     std::exception_ptr first_error;
@@ -390,14 +341,10 @@ SynthReport SchemeSynthesizer::run(const SynthRequest& request) {
   for (const CandidateOutcome& c : report.candidates) {
     switch (c.status) {
       case CandidateOutcome::Status::kExploredCold: ++report.stats.explored_cold; break;
-      case CandidateOutcome::Status::kExploredWarm: ++report.stats.explored_warm; break;
       case CandidateOutcome::Status::kPrunedAnalytic: ++report.stats.pruned_analytic; break;
       case CandidateOutcome::Status::kPrunedDominated: ++report.stats.pruned_dominated; break;
     }
-    if (explored(c)) {
-      report.stats.fresh_states += c.explore.states_explored - c.explore.warm_seed_expansions;
-      report.stats.warm_states_reused += c.explore.warm_states_reused;
-    }
+    if (explored(c)) report.stats.fresh_states += c.explore.states_explored;
   }
 
   // Pareto frontier over the satisfying candidates: drop anything weakly
@@ -529,12 +476,10 @@ std::string SynthReport::summary() const {
     os << "  axis " << axis.label() << ": " << axis.lo << ".." << axis.hi << " step "
        << axis.step << " (" << axis.count() << " values)\n";
   }
-  os << "  explored " << (stats.explored_cold + stats.explored_warm) << " ("
-     << stats.explored_cold << " cold, " << stats.explored_warm << " warm), pruned "
+  os << "  explored " << stats.explored_cold << ", pruned "
      << (stats.pruned_analytic + stats.pruned_dominated) << " (" << stats.pruned_analytic
      << " analytic, " << stats.pruned_dominated << " dominated)\n";
-  os << "  warm-start reuse: " << stats.warm_states_reused << " state(s) adopted; "
-     << stats.fresh_states << " fresh state(s) explored\n";
+  os << "  " << stats.fresh_states << " state(s) explored\n";
   os << frontier_text();
   return os.str();
 }

@@ -14,15 +14,10 @@
 //     delay any explored constraint-respecting candidate of the family
 //     attains ("the tightest bound this scheme family can honour").
 //
-// The cost model is "one cold exploration plus N cheap warm deltas":
+// The cost model is "one cold exploration per candidate that survives
+// pruning", with the PIM stage shared through the Verifier's session pool:
 //
-//   1. Warm sharing. Every candidate is a constants-only edit of the same
-//      scheme skeleton, so all PSM explorations after the first adopt the
-//      first candidate's exported passed store. The synthesizer pins that
-//      ancestor in the Verifier (Verifier::pin_ancestor) so the fan-out
-//      shares ONE read-only PassedStoreExport behind a shared_ptr — no
-//      per-candidate re-deserialization, no last-writer races.
-//   2. Pruning. Candidates failing the analytic schedulability pre-check
+//   1. Pruning. Candidates failing the analytic schedulability pre-check
 //      (core/schedulability.h) are cut without exploration
 //      (pruned_analytic). Candidates dominated in parameter space by an
 //      already-explored candidate that missed a requirement bound are cut
@@ -34,9 +29,9 @@
 //      SweepAxis), so a candidate that is pointwise >= a bound-missing
 //      candidate on those axes (and equal on all others) misses the same
 //      bound.
-//   3. Ordering. Candidates are visited nearest-neighbour-first in
-//      step-normalized parameter space, maximizing ancestor overlap (and
-//      letting dominance fences cut whole failing half-spaces early).
+//   2. Ordering. Candidates are visited nearest-neighbour-first in
+//      step-normalized parameter space, letting dominance fences cut whole
+//      failing half-spaces early.
 //
 // Frontier determinism: pruning only ever removes guaranteed-failing
 // candidates, and a pruned candidate's dominator chain always ends at an
@@ -86,8 +81,7 @@ struct SynthRequest {
 /// What happened to one lattice point.
 struct CandidateOutcome {
   enum class Status {
-    kExploredCold,     ///< verified without ancestor reuse
-    kExploredWarm,     ///< verified warm-starting from the shared ancestor
+    kExploredCold,     ///< verified by a cold exploration
     kPrunedAnalytic,   ///< cut by the analytic schedulability pre-check
     kPrunedDominated,  ///< cut (or cancelled mid-flight) by a dominator
   };
@@ -117,11 +111,10 @@ struct SynthStats {
   std::uint64_t pruned_analytic = 0;
   std::uint64_t pruned_dominated = 0;
   std::uint64_t explored_cold = 0;
-  std::uint64_t explored_warm = 0;
-  /// Scheme-stage states explored minus warm seed expansions, summed over
-  /// every explored candidate — the total cost in cold-equivalent currency.
+  std::uint64_t explored_warm = 0;  ///< always zero: warm start was removed
+  /// Scheme-stage states explored, summed over every explored candidate.
   std::uint64_t fresh_states = 0;
-  std::uint64_t warm_states_reused = 0;
+  std::uint64_t warm_states_reused = 0;  ///< always zero: warm start was removed
 };
 
 /// Per-requirement feasibility: the tightest verified delay any explored
@@ -166,8 +159,8 @@ struct SynthReport {
 };
 
 /// The synthesis driver. Stateless besides the borrowed Verifier, whose
-/// session pool and ancestor index do the sharing; one synthesizer may be
-/// reused for any number of runs.
+/// session pool does the sharing; one synthesizer may be reused for any
+/// number of runs.
 class SchemeSynthesizer {
  public:
   explicit SchemeSynthesizer(Verifier& verifier) : verifier_(verifier) {}

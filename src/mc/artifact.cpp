@@ -38,7 +38,8 @@ void write_explore_stats(ByteWriter& out, const ExploreStats& s) {
   out.u64(s.states_explored);
   out.u64(s.transitions_fired);
   out.u64(s.subsumed);
-  // Format v4: warm-start accounting.
+  // The retired warm-start counters (always zero) keep their slots, so the
+  // wire encoding of reports is unchanged.
   out.u64(s.warm_states_reused);
   out.u64(s.warm_states_revalidated);
   out.u64(s.warm_seed_expansions);
@@ -222,8 +223,7 @@ std::vector<std::uint8_t> VerificationArtifact::serialize() const {
     write_explore_stats(dl, deadlock.stats);
     out.raw(dl.buffer().data(), dl.size());
   }
-  // Format v4: reachability memos, bounded-response memos, skeleton digest,
-  // exported passed store.
+  // Format v4: reachability memos and bounded-response memos.
   out.u64(reaches.size());
   for (const ReachEntry& entry : reaches) {
     write_digest(out, entry.query);
@@ -238,9 +238,6 @@ std::vector<std::uint8_t> VerificationArtifact::serialize() const {
     write_trace(out, entry.result.violation);
     write_explore_stats(out, entry.result.stats);
   }
-  write_digest(out, skeleton);
-  out.boolean(store.has_value());
-  if (store.has_value()) write_passed_store(out, *store);
   return out.take();
 }
 
@@ -289,8 +286,6 @@ VerificationArtifact VerificationArtifact::deserialize(ByteReader& in) {
     entry.result.stats = read_explore_stats(in);
     artifact.responses.push_back(std::move(entry));
   }
-  artifact.skeleton = read_digest(in);
-  if (in.boolean()) artifact.store = read_passed_store(in);
   PSV_REQUIRE_AS(::psv::ErrorCode::kProtocol, in.at_end(), "corrupt artifact: trailing bytes after payload");
   return artifact;
 }

@@ -21,8 +21,7 @@
 // drift, a foreign key — as a miss: one warning line, no crash, and the
 // caller falls back to exploration. Since format v4, individual
 // query_reachable() / check_bounded_response() calls are persisted alongside
-// the batch bounds and the shared flag sweep, as is the exported passed
-// store that warm-starts skeleton-equal successors.
+// the batch bounds and the shared flag sweep.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "mc/query.h"
-#include "mc/store.h"
 #include "ta/fingerprint.h"
 #include "util/hash.h"
 
@@ -40,14 +38,12 @@ namespace psv::mc {
 
 /// Bumped whenever the artifact payload layout, the canonical fingerprint
 /// encoding, or the semantics of a stored field change; files with any
-/// other version are ignored. Version 4: artifacts carry the network's
-/// skeleton digest, memoized reachability and bounded-response results
-/// (the failing-path witness searches a repeated FAIL request re-runs),
-/// the exported passed store for warm-starting skeleton-equal successors,
-/// and warm-start counters in every ExploreStats block. Version-3 files
-/// lack all of these and are rejected by the version check — a warned miss
-/// followed by re-exploration.
-inline constexpr std::uint32_t kArtifactFormatVersion = 4;
+/// other version are ignored — a warned miss followed by re-exploration.
+/// Version 4 added memoized reachability and bounded-response results (the
+/// failing-path witness searches a repeated FAIL request re-runs). Version
+/// 5 dropped v4's skeleton digest and exported passed store, which only
+/// served the removed warm start.
+inline constexpr std::uint32_t kArtifactFormatVersion = 5;
 
 /// Content-addressed cache key; hex() names the artifact file.
 struct ArtifactKey {
@@ -125,15 +121,6 @@ struct VerificationArtifact {
     BoundedResponseResult result;
   };
   std::vector<ResponseEntry> responses;
-
-  /// ta::skeleton_digest of the fingerprinted network: the key under which
-  /// this artifact's passed store is indexed as a warm-start ancestor for
-  /// structurally-related verifications.
-  Digest128 skeleton;
-
-  /// Passed store of the session's last complete capture sweep (mc/store.h);
-  /// absent when no capture sweep completed.
-  std::optional<PassedStoreExport> store;
 
   /// Payload encoding (header-less; ArtifactStore adds framing + checksum).
   std::vector<std::uint8_t> serialize() const;

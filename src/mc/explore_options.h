@@ -52,7 +52,7 @@ struct ExploreOptions {
 
   /// Cooperative cancellation. When set and flipped to true, explorations
   /// abandon at the next wave barrier by throwing ErrorCode::kCancelled;
-  /// partial results are discarded (aborted runs never export or memoize).
+  /// partial results are discarded (aborted runs never memoize).
   /// Like `jobs`, the token cannot change any completed result — it only
   /// decides whether a result is produced at all — so it is NOT part of the
   /// artifact cache key.
@@ -67,14 +67,8 @@ struct ExploreStats {
   std::size_t transitions_fired = 0;
   std::size_t subsumed = 0;
 
-  /// Warm-start accounting (all zero for cold runs). `warm_states_reused`
-  /// counts ancestor-store states adopted without replay (creation context
-  /// untouched by the edit); `warm_states_revalidated` counts states
-  /// re-derived by replaying their recorded transition against the new
-  /// network; `warm_seed_expansions` counts the subset of states_explored
-  /// that were adopted seeds rather than fresh discoveries, so
-  /// `states_explored - warm_seed_expansions` is the fresh-state cost of a
-  /// warm run.
+  // Always zero: warm start was removed; the fields keep the wire encoding
+  // and the benchmark's readers unchanged.
   std::size_t warm_states_reused = 0;
   std::size_t warm_states_revalidated = 0;
   std::size_t warm_seed_expansions = 0;
@@ -104,9 +98,6 @@ inline void accumulate_stats(ExploreStats& into, const ExploreStats& from) {
   into.states_explored += from.states_explored;
   into.transitions_fired += from.transitions_fired;
   into.subsumed += from.subsumed;
-  into.warm_states_reused += from.warm_states_reused;
-  into.warm_states_revalidated += from.warm_states_revalidated;
-  into.warm_seed_expansions += from.warm_seed_expansions;
 }
 
 }  // namespace psv::mc

@@ -221,8 +221,6 @@ struct SweepRound {
   /// witness_consts for every target it resolves).
   std::vector<std::int32_t> extra;
   ExploreStats stats;
-  /// Passed store of this sweep (capture mode, complete runs only).
-  std::optional<PassedStoreExport> exported;
 };
 
 bool constrain_by(dbm::Dbm& zone, const ta::ClockConstraint& cc) {
@@ -257,8 +255,7 @@ bool constrain_by(dbm::Dbm& zone, const ta::ClockConstraint& cc) {
 /// and the round's bound outcomes are partial; the caller must discard them.
 SweepRound sweep_once(const ta::Network& net, const std::vector<BoundQuery>& queries,
                       const std::vector<SweepTarget>& targets, std::int64_t factor,
-                      ExploreOptions opts, FlagSweepOutcome* flags = nullptr,
-                      const PassedStoreExport* ancestor = nullptr, bool capture = false) {
+                      ExploreOptions opts, FlagSweepOutcome* flags = nullptr) {
   SweepRound round;
   round.consts.resize(targets.size());
   round.outcomes.assign(targets.size(), SweepOutcome{});
@@ -276,8 +273,6 @@ SweepRound sweep_once(const ta::Network& net, const std::vector<BoundQuery>& que
   }
   round.extra = extra;
   Reachability engine(net, StateFormula{}, opts, std::move(extra));
-  if (capture) engine.enable_capture();
-  if (ancestor != nullptr) engine.set_ancestor(ancestor);
   const auto visit = [&](const SymState& state, std::uint64_t id) {
     for (std::size_t t = 0; t < targets.size(); ++t) {
       const SweepTarget& target = targets[t];
@@ -353,7 +348,6 @@ SweepRound sweep_once(const ta::Network& net, const std::vector<BoundQuery>& que
       o.ranked.push_back({o.best[i].first, std::move(traces[i])});
     if (o.saw_inf) o.inf_trace = engine.trace_of(o.inf_id);
   }
-  if (capture) round.exported = engine.take_export();
   return round;
 }
 
@@ -395,9 +389,7 @@ std::vector<MaxClockResult> sweep_max_clock_values(const ta::Network& net,
                                                    const std::vector<BoundQuery>& queries,
                                                    ExploreOptions opts,
                                                    BatchQueryStats* batch_stats,
-                                                   FlagSweepOutcome* flags, WarmContext* warm) {
-  const PassedStoreExport* ancestor = warm != nullptr ? warm->ancestor : nullptr;
-  const bool capture = warm != nullptr && warm->capture;
+                                                   FlagSweepOutcome* flags) {
   std::vector<MaxClockResult> results(queries.size());
   std::vector<SweepTarget> targets;
   targets.reserve(queries.size());
@@ -418,7 +410,7 @@ std::vector<MaxClockResult> sweep_max_clock_values(const ta::Network& net,
   // piggyback this same exploration also serves the C1–C4 flag recording
   // and the deadlock search.
   {
-    SweepRound round = sweep_once(net, queries, targets, 1, opts, flags, ancestor, capture);
+    SweepRound round = sweep_once(net, queries, targets, 1, opts, flags);
     if (flags != nullptr && flags->ran && !flags->valid) {
       // A timelock aborted the combined sweep: the deadlock verdict stands,
       // but the bound outcomes cover only part of the space. Account the
@@ -429,13 +421,12 @@ std::vector<MaxClockResult> sweep_max_clock_values(const ta::Network& net,
         accumulate_stats(batch_stats->explore, round.stats);
         ++batch_stats->explorations;
       }
-      round = sweep_once(net, queries, targets, 1, opts, nullptr, ancestor, capture);
+      round = sweep_once(net, queries, targets, 1, opts);
     }
     if (batch_stats) {
       accumulate_stats(batch_stats->explore, round.stats);
       ++batch_stats->explorations;
     }
-    if (warm != nullptr && round.exported.has_value()) warm->exported = std::move(round.exported);
     std::vector<SweepTarget> unresolved;
     for (std::size_t t = 0; t < targets.size(); ++t) {
       MaxClockResult& out = results[targets[t].query];
@@ -468,8 +459,7 @@ std::vector<MaxClockResult> sweep_max_clock_values(const ta::Network& net,
       std::vector<char> done(targets.size(), 0);
       for (std::size_t f = 0; f < factors.size(); ++f) {
         try {
-          rounds[f].emplace(
-              sweep_once(net, queries, targets, factors[f], opts, nullptr, ancestor, capture));
+          rounds[f].emplace(sweep_once(net, queries, targets, factors[f], opts));
         } catch (...) {
           errors[f] = std::current_exception();
           break;
@@ -486,8 +476,7 @@ std::vector<MaxClockResult> sweep_max_clock_values(const ta::Network& net,
       WorkerPool pool(static_cast<unsigned>(factors.size()) - 1);
       pool.parallel_for(factors.size(), [&](std::size_t f) {
         try {
-          rounds[f].emplace(
-              sweep_once(net, queries, targets, factors[f], per_round, nullptr, ancestor, capture));
+          rounds[f].emplace(sweep_once(net, queries, targets, factors[f], per_round));
         } catch (...) {
           errors[f] = std::current_exception();
         }
@@ -516,13 +505,6 @@ std::vector<MaxClockResult> sweep_max_clock_values(const ta::Network& net,
         accumulate_stats(batch_stats->explore, rounds[f]->stats);
       batch_stats->explorations += static_cast<int>(counted);
     }
-    // Keep the last accounted complete sweep's store: its extrapolation
-    // constants are the widest this batch needed, so it seeds the most of a
-    // successor's state space.
-    if (warm != nullptr) {
-      for (std::size_t f = 0; f < counted; ++f)
-        if (rounds[f]->exported.has_value()) warm->exported = std::move(rounds[f]->exported);
-    }
     std::vector<SweepTarget> unresolved;
     for (std::size_t t = 0; t < targets.size(); ++t) {
       MaxClockResult& out = results[targets[t].query];
@@ -546,7 +528,7 @@ std::vector<MaxClockResult> sweep_max_clock_values(const ta::Network& net,
 std::vector<MaxClockResult> max_clock_values(const ta::Network& net,
                                              const std::vector<BoundQuery>& queries,
                                              ExploreOptions opts, BatchQueryStats* batch_stats,
-                                             FlagSweepOutcome* flags, WarmContext* warm) {
+                                             FlagSweepOutcome* flags) {
   for (const BoundQuery& q : queries) validate_query(net, q.clock, q.limit);
   if (opts.engine == QueryEngine::kProbe) {
     // Probe explorations are goal-directed (early exit on reachability), so
@@ -565,7 +547,7 @@ std::vector<MaxClockResult> max_clock_values(const ta::Network& net,
     }
     return results;
   }
-  return sweep_max_clock_values(net, queries, opts, batch_stats, flags, warm);
+  return sweep_max_clock_values(net, queries, opts, batch_stats, flags);
 }
 
 MaxClockResult max_clock_value(const ta::Network& net, const StateFormula& pred,

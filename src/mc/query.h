@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "mc/reach.h"
@@ -124,23 +123,6 @@ struct FlagSweepOutcome {
   DeadlockResult deadlock;
 };
 
-/// Incremental-exploration hookup of a query batch (sweep engine only; the
-/// probe engine's explorations are goal-directed, so there is no full
-/// passed store to warm from or export). `ancestor` warm-starts every sweep
-/// of the batch from a store persisted by a skeleton-equal network (falls
-/// back to cold silently on any mismatch); `capture` exports the passed
-/// store of the last accounted COMPLETE sweep into `exported` — the store a
-/// later structurally-related verification warm-starts from. Bounds,
-/// verdicts and the maximum witness value are bit-identical with and
-/// without an ancestor; witness TRACES and sub-maximal ranked entries may
-/// legitimately differ (warm and cold runs store different — equally valid
-/// — covering families of the same reachable space).
-struct WarmContext {
-  const PassedStoreExport* ancestor = nullptr;  ///< must outlive the call
-  bool capture = false;
-  std::optional<PassedStoreExport> exported;  ///< out: empty when nothing completed
-};
-
 /// Answer a batch of maximum-clock queries. The sweep engine (default)
 /// shares each full-space exploration across the whole batch — one sweep
 /// typically answers every query — and runs the refine-loop candidates in
@@ -148,13 +130,11 @@ struct WarmContext {
 /// are index-aligned with `queries` and identical for both engines.
 /// `batch_stats`, when given, receives the batch's total work. `flags`,
 /// when given, requests the combined flag/deadlock sweep described above.
-/// `warm`, when given, enables the incremental-exploration hookup above.
 std::vector<MaxClockResult> max_clock_values(const ta::Network& net,
                                              const std::vector<BoundQuery>& queries,
                                              ExploreOptions opts = {},
                                              BatchQueryStats* batch_stats = nullptr,
-                                             FlagSweepOutcome* flags = nullptr,
-                                             WarmContext* warm = nullptr);
+                                             FlagSweepOutcome* flags = nullptr);
 
 /// Compute the maximum value `clock` can take over all reachable states
 /// satisfying `pred` (the paper's delay measurements: reset the clock at the

@@ -67,57 +67,36 @@ Reachability::Reachability(const ta::Network& net, const StateFormula& goal, Exp
 
 Reachability::~Reachability() = default;
 
-std::optional<std::uint32_t> Reachability::admit(Shard& shard, std::size_t hash, Stored&& s,
-                                                  bool keep_subsumed, std::size_t limit) {
-  std::vector<DiscreteGroup>& groups = shard.passed[hash];
+std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t parent,
+                                                  bool enforce_cap) {
+  const std::size_t shard_index = shard_of(gs.hash, kNumShards);
+  Shard& shard = shards_[shard_index];
+  std::vector<DiscreteGroup>& groups = shard.passed[gs.hash];
   DiscreteGroup* group = nullptr;
   for (DiscreteGroup& g : groups) {
-    if (shard.arena[g.rep].state.same_discrete(s.state)) {
+    if (shard.arena[g.rep].state.same_discrete(gs.state)) {
       group = &g;
       break;
     }
   }
   if (group != nullptr) {
-    // Drop the live zones `s` includes, compacting in place. Live zones form
-    // an antichain, so a zone including `s` can only turn up before any
-    // such drop — the subsumed exit never leaves a half-compacted list.
+    // Drop the live zones `gs` includes, compacting in place. Live zones
+    // form an antichain, so a zone including `gs` can only turn up before
+    // any such drop — the subsumed exit never leaves a half-compacted list.
     std::vector<std::uint32_t>& live = group->live;
     std::size_t kept = 0;
     for (std::size_t r = 0; r < live.size(); ++r) {
-      const dbm::Relation rel = shard.arena[live[r]].state.zone.relation(s.state.zone);
+      const dbm::Relation rel = shard.arena[live[r]].state.zone.relation(gs.state.zone);
       if (rel & dbm::kSuperset) {
         PSV_ASSERT(kept == r, "live zones of a discrete state must form an antichain");
         ++shard.subsumed;
-        if (keep_subsumed) {
-          shard.arena.push_back(std::move(s));
-          total_stored_.fetch_add(1, std::memory_order_relaxed);
-        }
-        return live[r];
+        return std::nullopt;
       }
       if (rel != dbm::kSubset) live[kept++] = live[r];
     }
     live.resize(kept);
   }
 
-  const std::size_t stored_now = total_stored_.load(std::memory_order_relaxed);
-  PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, stored_now < limit,
-                 "state-space exploration exceeded the configured limit of " +
-                     std::to_string(opts_.max_states) + " states");
-  const auto local = static_cast<std::uint32_t>(shard.arena.size());
-  shard.arena.push_back(std::move(s));
-  if (group != nullptr) {
-    group->live.push_back(local);
-  } else {
-    groups.push_back(DiscreteGroup{local, {local}});
-  }
-  total_stored_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
-std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t parent,
-                                                  bool enforce_cap) {
-  const std::size_t shard_index = shard_of(gs.hash, kNumShards);
-  Shard& shard = shards_[shard_index];
   // Sequential paths enforce the cap per insert (exact legacy behavior);
   // parallel waves skip it here — a check-then-act on the shared counter
   // would race — and the wave barrier in insert_wave() applies the same
@@ -126,19 +105,19 @@ std::optional<std::uint64_t> Reachability::insert(GenSucc&& gs, std::uint64_t pa
   // twice the cap bounds transient memory on extreme-fan-out waves; it can
   // only fire in runs where the barrier check throws anyway, so the
   // throw/no-throw outcome stays deterministic.
-  const std::optional<std::uint32_t> cover =
-      admit(shard, gs.hash,
-            Stored{std::move(gs.state), parent, std::move(gs.label), std::move(gs.edges),
-                   std::move(gs.pre_zone), gs.pre_differs},
-            /*keep_subsumed=*/false, enforce_cap ? opts_.max_states : hard_state_limit_);
-  if (cover) {
-    // The subsumer now covers every behavior of the pruned successor; the
-    // export records that obligation against the parent.
-    if (capture_ && parent != kNoParent)
-      shard.cover_events.emplace_back(parent, pack_id(shard_index, *cover));
-    return std::nullopt;
+  const std::size_t limit = enforce_cap ? opts_.max_states : hard_state_limit_;
+  PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, total_stored_.load(std::memory_order_relaxed) < limit,
+                 "state-space exploration exceeded the configured limit of " +
+                     std::to_string(opts_.max_states) + " states");
+  const auto local = static_cast<std::uint32_t>(shard.arena.size());
+  shard.arena.push_back(Stored{std::move(gs.state), parent, std::move(gs.label)});
+  if (group != nullptr) {
+    group->live.push_back(local);
+  } else {
+    groups.push_back(DiscreteGroup{local, {local}});
   }
-  return pack_id(shard_index, shard.arena.size() - 1);
+  total_stored_.fetch_add(1, std::memory_order_relaxed);
+  return pack_id(shard_index, local);
 }
 
 std::uint64_t Reachability::seed_initial() {
@@ -147,7 +126,6 @@ std::uint64_t Reachability::seed_initial() {
   init.hash = init.state.discrete_hash();
   const auto id = insert(std::move(init), kNoParent);
   PSV_ASSERT(id.has_value(), "initial state must be stored");
-  if (capture_) order_.push_back(*id);
   frontier_.assign(1, *id);
   return *id;
 }
@@ -179,11 +157,6 @@ void Reachability::generate_wave(bool compute_goal, bool compute_blocked) {
       gs.is_goal = compute_goal && satisfies(net_, succ.state, goal_);
       gs.state = std::move(succ.state);
       gs.label = std::move(succ.label);
-      if (capture_) {
-        gs.edges = std::move(succ.edges);
-        gs.pre_zone = std::move(succ.pre_zone);
-        gs.pre_differs = succ.pre_differs;
-      }
       out.push_back(std::move(gs));
     }
     if (out.empty() && compute_blocked) {
@@ -247,8 +220,6 @@ void Reachability::insert_wave() {
   next_frontier_.clear();
   next_frontier_.reserve(merged.size());
   for (const auto& [rank, id] : merged) next_frontier_.push_back(id);
-  if (capture_)
-    for (const std::uint64_t id : next_frontier_) order_.push_back(id);
   frontier_.swap(next_frontier_);
 }
 
@@ -436,34 +407,19 @@ ExploreStats Reachability::explore_all(const std::function<void(const SymState&)
 ExploreStats Reachability::explore_all_ids(
     const std::function<void(const SymState&, std::uint64_t)>& visit,
     const std::function<bool()>& stop) {
-  const bool warm = ancestor_ != nullptr && seed_from_store(visit, /*deadlock_mode=*/false);
-  if (!warm) seed_initial();
-  // A warm start already visited every live seed during the import; the
-  // first loop iteration must not visit them again.
-  bool skip_visit = warm;
-  bool first_warm_wave = warm;
-  bool aborted = false;
+  seed_initial();
   while (!frontier_.empty()) {
     // Visiting before generating is behavior-identical to the historical
     // generate-then-visit order (visits depend only on the frontier), and
     // it lets the stop predicate fire before the expensive wave.
-    if (visit && !skip_visit) {
+    if (visit) {
       for (const std::uint64_t id : frontier_) visit(stored(id).state, id);
     }
-    skip_visit = false;
     check_cancel(opts_);
-    if (stop && stop()) {
-      aborted = true;
-      break;
-    }
-    if (first_warm_wave) {
-      stats_.warm_seed_expansions += frontier_.size();
-      first_warm_wave = false;
-    }
+    if (stop && stop()) break;
     generate_wave(/*compute_goal=*/false, /*compute_blocked=*/false);
     insert_wave();
   }
-  if (capture_ && !aborted) export_ = build_export();
   return snapshot_stats();
 }
 
@@ -476,26 +432,16 @@ DeadlockResult Reachability::find_deadlock_ids(
     const std::function<void(const SymState&, std::uint64_t)>& visit) {
   DeadlockResult result;
   std::optional<std::uint64_t> first_quiescent;
-  // Warm starts force childless cover-less seeds back into the frontier
-  // (deadlock_mode), so quiescence and timelocks are always re-detected by
-  // fresh generation below — never trusted from the ancestor run.
-  const bool warm = ancestor_ != nullptr && seed_from_store(visit, /*deadlock_mode=*/true);
-  if (!warm) seed_initial();
-  bool skip_visit = warm;
-  bool first_warm_wave = warm;
+  seed_initial();
   while (!frontier_.empty()) {
     check_cancel(opts_);
-    if (first_warm_wave) {
-      stats_.warm_seed_expansions += frontier_.size();
-      first_warm_wave = false;
-    }
     generate_wave(/*compute_goal=*/false, /*compute_blocked=*/true);
     // Scan the wave in rank (exploration) order: visit callbacks fire
     // sequentially, quiescence is recorded at the first occurrence, and a
     // timelock stops the scan exactly where the sequential engine stopped.
     std::optional<std::size_t> timelock_rank;
     for (std::size_t i = 0; i < frontier_.size(); ++i) {
-      if (visit && !skip_visit) visit(stored(frontier_[i]).state, frontier_[i]);
+      if (visit) visit(stored(frontier_[i]).state, frontier_[i]);
       if (!wave_succs_[i].empty()) continue;
       if (wave_blocked_[i]) {
         timelock_rank = i;
@@ -505,7 +451,6 @@ DeadlockResult Reachability::find_deadlock_ids(
       // continues: a benign quiescent corner must not mask a timelock.
       if (!first_quiescent) first_quiescent = frontier_[i];
     }
-    skip_visit = false;
     if (timelock_rank.has_value()) {
       // States past the timelock were never explored by the sequential
       // engine; commit only the earlier ranks' successors and stats.
@@ -529,270 +474,8 @@ DeadlockResult Reachability::find_deadlock_ids(
     result.timelock = false;
     result.trace = build_trace(*first_quiescent);
   }
-  // Only complete explorations export (the timelock early-return above
-  // never reaches this point): an aborted run's store is a partial prefix.
-  if (capture_) export_ = build_export();
   result.stats = snapshot_stats();
   return result;
-}
-
-void Reachability::enable_capture() {
-  capture_ = true;
-  gen_.set_capture(true);
-}
-
-bool Reachability::seed_from_store(
-    const std::function<void(const SymState&, std::uint64_t)>& visit, bool deadlock_mode) {
-  const PassedStoreExport& anc = *ancestor_;
-  const std::size_t num_automata = static_cast<std::size_t>(net_.num_automata());
-
-  // --- Fit checks. Everything is validated BEFORE the engine mutates, so
-  // any mismatch cleanly falls back to a cold start.
-  if (anc.num_clocks != net_.num_clocks() || anc.num_vars != net_.num_vars() ||
-      anc.num_automata != net_.num_automata())
-    return false;
-  if (anc.entries.empty() || anc.entries.size() > opts_.max_states) return false;
-  if (anc.edge_digests.size() != num_automata || anc.inv_digests.size() != num_automata)
-    return false;
-  const auto new_edge_digests = edge_timing_digests(net_);
-  const auto new_inv_digests = invariant_digests(net_);
-  for (std::size_t a = 0; a < num_automata; ++a) {
-    if (anc.edge_digests[a].size() != new_edge_digests[a].size()) return false;
-    if (anc.inv_digests[a].size() != new_inv_digests[a].size()) return false;
-  }
-  const std::vector<std::int32_t>& new_consts = gen_.max_consts();
-  if (anc.max_consts.size() != new_consts.size()) return false;
-  SymState init = gen_.initial();
-  if (anc.entries.front().locs != init.locs || anc.entries.front().vars != init.vars)
-    return false;
-  for (std::size_t i = 0; i < anc.entries.size(); ++i) {
-    const StoreEntry& entry = anc.entries[i];
-    if (entry.locs.size() != num_automata) return false;
-    if (entry.vars.size() != static_cast<std::size_t>(net_.num_vars())) return false;
-    if (entry.zone.num_clocks() != net_.num_clocks()) return false;
-    if (entry.pre_differs && entry.pre_zone.num_clocks() != net_.num_clocks()) return false;
-    if (i > 0 && entry.edges.empty()) return false;
-    for (std::size_t a = 0; a < num_automata; ++a) {
-      if (entry.locs[a] < 0 ||
-          static_cast<std::size_t>(entry.locs[a]) >=
-              net_.automaton(static_cast<ta::AutomatonId>(a)).locations().size())
-        return false;
-    }
-    for (const EdgeRef& ref : entry.edges) {
-      if (ref.automaton < 0 || ref.automaton >= net_.num_automata() || ref.edge_index < 0 ||
-          static_cast<std::size_t>(ref.edge_index) >= net_.automaton(ref.automaton).edges().size())
-        return false;
-    }
-  }
-
-  // --- Change sets: which edges / invariants the edit touched, and from
-  // which locations a timing change can originate.
-  std::vector<std::vector<char>> edge_changed(num_automata);
-  std::vector<std::vector<char>> inv_changed(num_automata);
-  std::vector<std::vector<char>> calm(num_automata);
-  for (std::size_t a = 0; a < num_automata; ++a) {
-    const std::size_t num_edges = new_edge_digests[a].size();
-    const std::size_t num_locs = new_inv_digests[a].size();
-    edge_changed[a].resize(num_edges);
-    for (std::size_t e = 0; e < num_edges; ++e)
-      edge_changed[a][e] = anc.edge_digests[a][e] == new_edge_digests[a][e] ? 0 : 1;
-    inv_changed[a].resize(num_locs);
-    for (std::size_t l = 0; l < num_locs; ++l)
-      inv_changed[a][l] = anc.inv_digests[a][l] == new_inv_digests[a][l] ? 0 : 1;
-    // calm[a][l]: nothing generated FROM l can differ — its own invariant,
-    // every outgoing edge, and every destination invariant are untouched.
-    calm[a].assign(num_locs, 1);
-    for (std::size_t l = 0; l < num_locs; ++l)
-      if (inv_changed[a][l]) calm[a][l] = 0;
-    const auto& edges = net_.automaton(static_cast<ta::AutomatonId>(a)).edges();
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      if (edge_changed[a][e] || inv_changed[a][static_cast<std::size_t>(edges[e].dst)])
-        calm[a][static_cast<std::size_t>(edges[e].src)] = 0;
-    }
-  }
-  bool consts_equal = true;
-  bool consts_nondecreasing = true;
-  for (std::size_t c = 0; c < new_consts.size(); ++c) {
-    if (new_consts[c] != anc.max_consts[c]) consts_equal = false;
-    if (new_consts[c] < anc.max_consts[c]) consts_nondecreasing = false;
-  }
-
-  // --- Import pass, in ordinal (deterministic exploration) order: derive
-  // each entry's zone EXACTLY under this network, seed the arena, and visit
-  // live seeds. Dropped entries (parent dropped, or replay emptied the
-  // zone) drop their whole subtree.
-  const std::size_t n = anc.entries.size();
-  std::vector<char> alive(n, 0);
-  std::vector<char> unchanged(n, 0);
-  std::vector<char> accepted(n, 0);
-  std::vector<char> has_live_child(n, 0);
-  std::vector<dbm::Dbm> zones(n, dbm::Dbm(0));
-  std::vector<std::uint64_t> packed(n, 0);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const StoreEntry& entry = anc.entries[i];
-    SymState state;
-    state.locs = entry.locs;
-    state.vars = entry.vars;
-    dbm::Dbm pre(0);
-    bool pre_differs = false;
-    if (i == 0) {
-      // The initial state is always computed fresh (and matched against the
-      // stored discrete parts above).
-      state.zone = init.zone;
-      ++stats_.warm_states_revalidated;
-    } else {
-      if (!alive[static_cast<std::size_t>(entry.parent)]) continue;
-      // Creation-calm: the parent's zone is unchanged and nothing on this
-      // entry's creation path (participating edges, successor invariants)
-      // was touched — the recorded pre-extrapolation zone is exact under
-      // this network, so only the extrapolation needs re-applying.
-      bool creation_calm = unchanged[static_cast<std::size_t>(entry.parent)] != 0;
-      if (creation_calm) {
-        for (const EdgeRef& ref : entry.edges) {
-          if (edge_changed[static_cast<std::size_t>(ref.automaton)]
-                          [static_cast<std::size_t>(ref.edge_index)]) {
-            creation_calm = false;
-            break;
-          }
-        }
-      }
-      if (creation_calm) {
-        for (std::size_t a = 0; a < num_automata; ++a) {
-          if (inv_changed[a][static_cast<std::size_t>(entry.locs[a])]) {
-            creation_calm = false;
-            break;
-          }
-        }
-      }
-      if (creation_calm) {
-        pre = entry.pre_differs ? entry.pre_zone : entry.zone;
-        if (consts_equal) {
-          state.zone = entry.zone;
-        } else {
-          state.zone = pre;
-          gen_.extrapolate(state.zone);
-        }
-        pre_differs = !(pre == state.zone);
-        ++stats_.warm_states_reused;
-      } else {
-        // Full replay of the recorded transition from the parent's NEW
-        // zone; an emptied zone means the edit killed this state.
-        state.zone = zones[static_cast<std::size_t>(entry.parent)];
-        if (!gen_.replay(entry.edges, state, &pre, &pre_differs)) continue;
-        ++stats_.warm_states_revalidated;
-      }
-    }
-    alive[i] = 1;
-    unchanged[i] = state.zone == entry.zone ? 1 : 0;
-    zones[i] = state.zone;
-    if (i > 0) has_live_child[static_cast<std::size_t>(entry.parent)] = 1;
-
-    // Seed the arena unconditionally (seeds serve as parents and visit
-    // targets even when subsumed); only non-subsumed zones become live.
-    const std::size_t hash = state.discrete_hash();
-    const std::size_t shard_index = shard_of(hash, kNumShards);
-    Shard& shard = shards_[shard_index];
-    const std::size_t local = shard.arena.size();
-    const std::uint64_t parent_id =
-        i == 0 ? kNoParent : packed[static_cast<std::size_t>(entry.parent)];
-    const bool subsumed =
-        admit(shard, hash,
-              Stored{std::move(state), parent_id, std::string(entry.label), entry.edges,
-                     std::move(pre), pre_differs},
-              /*keep_subsumed=*/true, std::numeric_limits<std::size_t>::max())
-            .has_value();
-    packed[i] = pack_id(shard_index, local);
-    accepted[i] = subsumed ? 0 : 1;
-    if (capture_) order_.push_back(packed[i]);
-    if (visit) visit(shard.arena[local].state, packed[i]);
-  }
-
-  // --- Cover carry-over for re-export: a pruned-successor obligation whose
-  // parent and subsumer both survived still stands. A dropped subsumer
-  // forces the parent out of the closed set below, so its coverage is
-  // re-derived by fresh expansion instead.
-  if (capture_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!alive[i]) continue;
-      for (const std::uint64_t o : anc.entries[i].covers) {
-        if (!alive[static_cast<std::size_t>(o)]) continue;
-        const std::size_t s = static_cast<std::size_t>(packed[o] & (kNumShards - 1));
-        shards_[s].cover_events.emplace_back(packed[i], packed[o]);
-      }
-    }
-  }
-
-  // --- Closed states and the first frontier. A state is closed when its
-  // whole successor neighbourhood provably regenerates identically: its own
-  // zone is unchanged, no timing change can originate at any of its
-  // locations, and every recorded cover of its pruned successors still
-  // stands (alive, unchanged, and — since successors are compared after
-  // extrapolation — the extrapolation did not shrink: consts nondecreasing).
-  frontier_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive[i] || !accepted[i]) continue;
-    const StoreEntry& entry = anc.entries[i];
-    bool closed = unchanged[i] != 0;
-    for (std::size_t a = 0; a < num_automata && closed; ++a)
-      closed = calm[a][static_cast<std::size_t>(entry.locs[a])] != 0;
-    if (closed && !entry.covers.empty()) {
-      closed = consts_nondecreasing;
-      for (std::size_t c = 0; c < entry.covers.size() && closed; ++c) {
-        const std::size_t o = static_cast<std::size_t>(entry.covers[c]);
-        closed = alive[o] != 0 && unchanged[o] != 0;
-      }
-    }
-    bool expand = !closed;
-    // Deadlock searches never trust stored quiescence: childless cover-less
-    // seeds are re-expanded so quiescence and timelocks are always detected
-    // from this network's actual successor generation.
-    if (deadlock_mode && !has_live_child[i] && entry.covers.empty()) expand = true;
-    if (expand) frontier_.push_back(packed[i]);
-  }
-  return true;
-}
-
-PassedStoreExport Reachability::build_export() const {
-  PassedStoreExport out;
-  out.edge_digests = edge_timing_digests(net_);
-  out.inv_digests = invariant_digests(net_);
-  out.max_consts = gen_.max_consts();
-  out.num_clocks = net_.num_clocks();
-  out.num_vars = net_.num_vars();
-  out.num_automata = net_.num_automata();
-
-  std::unordered_map<std::uint64_t, std::uint64_t> ordinal_of;
-  ordinal_of.reserve(order_.size() * 2);
-  for (std::size_t i = 0; i < order_.size(); ++i)
-    ordinal_of.emplace(order_[i], static_cast<std::uint64_t>(i));
-
-  out.entries.reserve(order_.size());
-  for (const std::uint64_t id : order_) {
-    const Stored& s = stored(id);
-    StoreEntry entry;
-    entry.parent = s.parent == kNoParent ? kNoStoreParent : ordinal_of.at(s.parent);
-    entry.label = s.label;
-    entry.edges = s.edges;
-    entry.locs = s.state.locs;
-    entry.vars = s.state.vars;
-    entry.zone = s.state.zone;
-    entry.pre_differs = s.pre_differs;
-    if (s.pre_differs) entry.pre_zone = s.pre_zone;
-    out.entries.push_back(std::move(entry));
-  }
-  for (const Shard& shard : shards_) {
-    for (const auto& [parent, subsumer] : shard.cover_events) {
-      out.entries[static_cast<std::size_t>(ordinal_of.at(parent))].covers.push_back(
-          ordinal_of.at(subsumer));
-    }
-  }
-  for (StoreEntry& entry : out.entries) {
-    std::sort(entry.covers.begin(), entry.covers.end());
-    entry.covers.erase(std::unique(entry.covers.begin(), entry.covers.end()),
-                       entry.covers.end());
-  }
-  return out;
 }
 
 ReachResult reachable(const ta::Network& net, const StateFormula& goal, ExploreOptions opts) {

@@ -31,7 +31,6 @@
 
 #include "mc/explore_options.h"
 #include "mc/state.h"
-#include "mc/store.h"
 #include "mc/succ.h"
 #include "mc/worker_pool.h"
 
@@ -103,7 +102,7 @@ class Reachability {
   /// `stop` predicate is evaluated between waves (after the wave's visits,
   /// before generating successors); returning true aborts the exploration
   /// — the goal-directed pruning hook for sweeps whose remaining queries
-  /// are already saturated. Aborted runs never export a store.
+  /// are already saturated.
   ExploreStats explore_all_ids(const std::function<void(const SymState&, std::uint64_t)>& visit,
                                const std::function<bool()>& stop = nullptr);
 
@@ -132,25 +131,6 @@ class Reachability {
   DeadlockResult find_deadlock_ids(
       const std::function<void(const SymState&, std::uint64_t)>& visit);
 
-  /// Record everything a passed-store export needs (participating edges,
-  /// pre-extrapolation zones, deterministic insertion order, subsumption
-  /// covers) during the next exploration. Must be called before any run;
-  /// adds memory per stored state but no algorithmic cost.
-  void enable_capture();
-
-  /// Warm-start the next exploration from an ancestor store produced by a
-  /// skeleton-equal network. Each entry's zone is re-derived exactly under
-  /// THIS network; states whose neighbourhood is provably untouched by the
-  /// edit are seeded as closed (never re-expanded), the rest seed the first
-  /// frontier. Falls back to a cold start (silently) when the store does
-  /// not match. The pointee must outlive the run.
-  void set_ancestor(const PassedStoreExport* ancestor) { ancestor_ = ancestor; }
-
-  /// The store exported by the last COMPLETE capture-mode
-  /// explore_all_ids / find_deadlock_ids run; empty when capture was off or
-  /// the run aborted early (timelock, stop predicate).
-  std::optional<PassedStoreExport> take_export() { return std::move(export_); }
-
  private:
   /// Shard count of the passed/waiting store. Fixed (independent of `jobs`)
   /// so the shard assignment — and with it every bucket's insertion
@@ -164,10 +144,6 @@ class Reachability {
     SymState state;
     std::uint64_t parent;  ///< packed id, kNoParent for initial
     std::string label;     ///< edge label leading here
-    // Capture-mode extras (empty/default when capture is off).
-    std::vector<EdgeRef> edges;  ///< participating edges, firing order
-    dbm::Dbm pre_zone{0};        ///< pre-extrapolation zone when pre_differs
-    bool pre_differs = false;
   };
 
   /// The live (non-subsumed) zones of one exact discrete state, in
@@ -198,10 +174,6 @@ class Reachability {
     /// (rank, id) of goal-flagged states accepted in the current terminal
     /// chunk, rank-ascending.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> accepted_goals;
-    /// Capture mode: (parent id, subsumer id) recorded whenever this
-    /// shard's subsumption check pruned a successor — the export needs them
-    /// to justify skipping closed states on a warm start.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> cover_events;
   };
 
   /// One generated successor, with everything the insertion phase needs
@@ -211,10 +183,6 @@ class Reachability {
     std::string label;
     std::size_t hash = 0;
     bool is_goal = false;
-    // Capture-mode extras, forwarded from SymSuccessor into the store.
-    std::vector<EdgeRef> edges;
-    dbm::Dbm pre_zone{0};
-    bool pre_differs = false;
   };
 
   static std::uint64_t pack_id(std::size_t shard, std::size_t index) {
@@ -224,25 +192,17 @@ class Reachability {
     return shards_[id & (kNumShards - 1)].arena[id >> kShardBits];
   }
 
-  /// Insert into the owning shard: subsumption check, live-list update,
-  /// arena append. Returns the packed id if stored, nullopt if subsumed.
-  /// Thread-safe only under the owner-computes discipline (one thread per
+  /// Insert into the owning shard. One relation pass over the live zones of
+  /// the successor's exact discrete group: if one of them includes it, the
+  /// successor is counted as subsumed and dropped (nullopt); otherwise the
+  /// live zones it includes are dropped, it becomes live, and its packed id
+  /// is returned. Thread-safe only under the owner-computes discipline (one thread per
   /// shard at a time). `enforce_cap` applies the max_states limit per
   /// insert (exact legacy semantics — used by the strictly sequential
   /// paths); parallel waves pass false and enforce the cap at the wave
   /// barrier instead, where the check is deterministic.
   std::optional<std::uint64_t> insert(GenSucc&& gs, std::uint64_t parent,
                                       bool enforce_cap = true);
-
-  /// The subsumption discipline shared by insert() and seed_from_store().
-  /// One relation pass over the live zones of `s`'s exact discrete group:
-  /// if one of them includes `s`, returns its arena index (the first in
-  /// insertion order) and counts `s` as subsumed; otherwise drops the live
-  /// zones `s` includes and makes `s` live. `s` is appended to the arena
-  /// unless it is subsumed and `keep_subsumed` is false. Throws when `s`
-  /// would be live and `limit` states are already stored.
-  std::optional<std::uint32_t> admit(Shard& shard, std::size_t hash, Stored&& s,
-                                     bool keep_subsumed, std::size_t limit);
 
   /// Store the initial state and seed the frontier.
   std::uint64_t seed_initial();
@@ -273,19 +233,6 @@ class Reachability {
 
   Trace build_trace(std::uint64_t id) const;
 
-  /// Import the ancestor store (set_ancestor): re-derive every entry's zone
-  /// under this network in ordinal order, seed the arena, visit live seeds,
-  /// and assemble the first frontier from the non-closed ones. Returns
-  /// false (leaving the engine untouched) when the store does not fit this
-  /// network — the caller then seeds cold. In `deadlock_mode`, childless
-  /// cover-less seeds are always expanded so quiescence and timelocks are
-  /// re-detected by actual generation, never trusted from the old run.
-  bool seed_from_store(const std::function<void(const SymState&, std::uint64_t)>& visit,
-                       bool deadlock_mode);
-
-  /// Assemble the export of a completed capture run.
-  PassedStoreExport build_export() const;
-
   const ta::Network& net_;
   StateFormula goal_;
   ExploreOptions opts_;
@@ -302,13 +249,6 @@ class Reachability {
   ExploreStats stats_;  ///< explored/fired only; snapshot_stats adds the rest
   std::unique_ptr<WorkerPool> pool_;  ///< created on the first big wave
 
-  // Incremental-exploration state (enable_capture / set_ancestor).
-  bool capture_ = false;
-  const PassedStoreExport* ancestor_ = nullptr;
-  /// Packed ids in deterministic insertion order (capture mode): the
-  /// export's ordinal numbering.
-  std::vector<std::uint64_t> order_;
-  std::optional<PassedStoreExport> export_;
 };
 
 /// Convenience single-call reachability: is some state satisfying `goal`

@@ -11,12 +11,7 @@ VerificationSession::VerificationSession(ta::Network net, ExploreOptions opts)
     : net_(std::move(net)),
       opts_(opts),
       fingerprint_(ta::fingerprint(net_)),
-      cache_key_(artifact_key(fingerprint_, opts_)),
-      skeleton_(ta::skeleton_digest(net_)) {}
-
-void VerificationSession::adopt_ancestor(std::shared_ptr<const PassedStoreExport> ancestor) {
-  ancestor_ = std::move(ancestor);
-}
+      cache_key_(artifact_key(fingerprint_, opts_)) {}
 
 Digest128 VerificationSession::bound_key(const BoundQuery& query) const {
   // Canonical digest over the formula structure and ranks: every location,
@@ -50,16 +45,7 @@ std::vector<MaxClockResult> VerificationSession::answer_bounds(
   }
   if (!fresh.empty()) {
     BatchQueryStats batch;
-    WarmContext warm;
-    warm.ancestor = ancestor_ ? ancestor_.get() : nullptr;
-    // Capture under the sweep engine so the batch's passed store becomes
-    // this session's export (probe explorations are goal-directed — there
-    // is no full store to capture).
-    warm.capture = opts_.engine == QueryEngine::kSweep;
-    std::vector<MaxClockResult> answers =
-        mc::max_clock_values(net_, fresh, opts_, &batch, flags, &warm);
-    if (warm.exported.has_value())
-      exported_ = std::make_shared<const PassedStoreExport>(std::move(*warm.exported));
+    std::vector<MaxClockResult> answers = mc::max_clock_values(net_, fresh, opts_, &batch, flags);
     // The batch total counts shared sweep work once (per-query stats
     // attribute shared explorations to every query they served).
     accumulate_stats(stats_.explore, batch.explore);
@@ -122,19 +108,10 @@ void VerificationSession::ensure_flag_sweep() {
   if (flag_sweep_done_) return;
   var_seen_one_.assign(static_cast<std::size_t>(net_.num_vars()), false);
   Reachability engine(net_, StateFormula{}, opts_);
-  if (ancestor_) engine.set_ancestor(ancestor_.get());
-  // A dedicated flag sweep visits the full space, so its store is as good
-  // an export as a bounds sweep's; capture one if the session has none yet.
-  const bool capture = exported_ == nullptr;
-  if (capture) engine.enable_capture();
   deadlock_ = engine.find_deadlock([this](const SymState& state) {
     for (std::size_t v = 0; v < state.vars.size(); ++v)
       if (state.vars[v] == 1) var_seen_one_[v] = true;
   });
-  if (capture) {
-    if (std::optional<PassedStoreExport> exported = engine.take_export(); exported.has_value())
-      exported_ = std::make_shared<const PassedStoreExport>(std::move(*exported));
-  }
   accumulate_stats(stats_.explore, deadlock_.stats);
   ++stats_.explorations;
   ++stats_.entries_added;
@@ -219,11 +196,6 @@ bool VerificationSession::load(const ArtifactStore& store) {
     if (response_cache_.emplace(entry.query, std::move(entry.result)).second)
       ++stats_.entries_loaded;
   }
-  // Carry the persisted store forward: it is this session's export until a
-  // fresh capture sweep replaces it, so a warm-loaded session can still seed
-  // skeleton-equal successors (and a later store() keeps persisting it).
-  if (exported_ == nullptr && artifact->store.has_value())
-    exported_ = std::make_shared<const PassedStoreExport>(std::move(*artifact->store));
   if (artifact->has_flag_sweep && !flag_sweep_done_) {
     // var_seen_one is stored in canonical rank order; map back to VarIds.
     var_seen_one_.assign(static_cast<std::size_t>(net_.num_vars()), false);
@@ -268,8 +240,6 @@ bool VerificationSession::store(const ArtifactStore& store) const {
   std::sort(artifact.responses.begin(), artifact.responses.end(),
             [](const VerificationArtifact::ResponseEntry& a,
                const VerificationArtifact::ResponseEntry& b) { return a.query < b.query; });
-  artifact.skeleton = skeleton_;
-  if (exported_ != nullptr) artifact.store = *exported_;
   return store.store(cache_key_, artifact);
 }
 

@@ -47,15 +47,6 @@ struct SessionStats {
   int cache_hits = 0;    ///< queries answered from the session memo
   int entries_added = 0;   ///< memo entries created by fresh work
   int entries_loaded = 0;  ///< memo entries pre-populated by load()
-
-  // Incremental-exploration accounting (aggregated over every exploration;
-  // all zero without an adopted ancestor store).
-  /// Stored states seeded verbatim from the ancestor (creation-calm entries).
-  std::size_t warm_start_states_reused() const { return explore.warm_states_reused; }
-  /// Stored states whose zones were replayed against the new network.
-  std::size_t states_revalidated() const { return explore.warm_states_revalidated; }
-  /// Total states expanded (warm seeds + fresh exploration).
-  std::size_t states_explored() const { return explore.states_explored; }
 };
 
 class VerificationSession {
@@ -136,27 +127,6 @@ class VerificationSession {
   BoundedResponseResult check_bounded_response(const StateFormula& pending, ta::ClockId clock,
                                                std::int64_t delta);
 
-  // --- Incremental exploration (warm start) --------------------------------
-
-  /// Adopt `ancestor` as the warm-start seed for every sweep this session
-  /// runs: stored states that survive re-validation against this session's
-  /// network seed the first wave instead of being re-derived. Sound for any
-  /// ancestor whose network skeleton (ta::skeleton_digest) equals this
-  /// session's — the import re-validates everything against the NEW network
-  /// and silently falls back to a cold run on any structural mismatch.
-  /// Bounds and verdicts are bit-identical with and without an ancestor.
-  void adopt_ancestor(std::shared_ptr<const PassedStoreExport> ancestor);
-
-  /// The passed store this session can hand to a skeleton-equal successor:
-  /// the export of its last complete capture sweep, or the store a warm
-  /// load() brought in. Null when neither exists (probe engine, or no
-  /// complete sweep yet).
-  std::shared_ptr<const PassedStoreExport> exported_store() const { return exported_; }
-
-  /// ta::skeleton_digest of the session network: the structural key under
-  /// which ancestor stores are matched.
-  const Digest128& skeleton() const { return skeleton_; }
-
   // --- Persistent artifact cache -----------------------------------------
 
   /// Pre-populate the memo from `store` under this session's cache_key().
@@ -166,9 +136,9 @@ class VerificationSession {
   bool load(const ArtifactStore& store);
 
   /// Persist the memo (answered bounds, reachability and bounded-response
-  /// results, the shared flag sweep, and the exported passed store) under
-  /// cache_key(). Skips the write and returns false when the session holds
-  /// nothing beyond what load() brought in.
+  /// results, and the shared flag sweep) under cache_key(). Skips the write
+  /// and returns false when the session holds nothing beyond what load()
+  /// brought in.
   bool store(const ArtifactStore& store) const;
 
   /// True when load() populated this session from a persistent artifact.
@@ -199,7 +169,6 @@ class VerificationSession {
   ExploreOptions opts_;
   ta::NetworkFingerprint fingerprint_;  ///< canonical digest + id ranks
   ArtifactKey cache_key_;
-  Digest128 skeleton_;  ///< structural warm-start key (ta::skeleton_digest)
   SessionStats stats_;
   bool warm_loaded_ = false;
   bool dirty_ = false;  ///< fresh results exist that store() should persist
@@ -212,11 +181,6 @@ class VerificationSession {
   std::unordered_map<Digest128, MaxClockResult, Digest128Hash> bound_cache_;
   std::unordered_map<Digest128, ReachResult, Digest128Hash> reach_cache_;
   std::unordered_map<Digest128, BoundedResponseResult, Digest128Hash> response_cache_;
-
-  // Incremental exploration: the adopted ancestor store and this session's
-  // own export (fresh capture, or carried over from a warm load).
-  std::shared_ptr<const PassedStoreExport> ancestor_;
-  std::shared_ptr<const PassedStoreExport> exported_;
 };
 
 /// Per-stage cache accounting: the delta of `session`'s stats since

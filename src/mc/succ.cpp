@@ -124,7 +124,7 @@ bool SuccGen::time_frozen(const std::vector<ta::LocId>& locs) const {
   return false;
 }
 
-bool SuccGen::finalize(SymState& state, Dbm* pre, bool* pre_differs) const {
+bool SuccGen::finalize(SymState& state) const {
   if (!apply_invariants(state.zone, state.locs)) return false;
   if (state.zone.empty()) return false;
   if (!time_frozen(state.locs)) {
@@ -132,34 +132,15 @@ bool SuccGen::finalize(SymState& state, Dbm* pre, bool* pre_differs) const {
     if (!apply_invariants(state.zone, state.locs)) return false;
   }
   if (state.zone.empty()) return false;
-  if (pre != nullptr) *pre = state.zone;
   state.zone.extrapolate_max_bounds(max_consts_);
-  if (pre != nullptr && pre_differs != nullptr) *pre_differs = !(*pre == state.zone);
   return !state.zone.empty();
-}
-
-bool SuccGen::replay(const std::vector<EdgeRef>& edges, SymState& child, dbm::Dbm* pre,
-                     bool* pre_differs) const {
-  // Guards first, then resets, both in participant (firing) order. This
-  // matches every sync shape the generator produces: internal edges
-  // trivially; binary rendezvous applies both guards before either reset;
-  // broadcast receivers carry no clock guards (ta::validate), so hoisting
-  // the sender's guard above its resets changes nothing.
-  for (const EdgeRef& ref : edges)
-    if (!apply_clock_guard(child.zone, edge(ref).guard)) return false;
-  for (const EdgeRef& ref : edges) apply_resets(edge(ref).update, child.zone);
-  return finalize(child, pre, pre_differs);
 }
 
 void SuccGen::emit(SymState&& next, std::vector<EdgeRef>&& edges, std::string&& label,
                    std::vector<SymSuccessor>& out) const {
+  if (!finalize(next)) return;
   SymSuccessor succ;
-  if (capture_) {
-    if (!finalize(next, &succ.pre_zone, &succ.pre_differs)) return;
-    succ.edges = std::move(edges);
-  } else {
-    if (!finalize(next)) return;
-  }
+  if (record_edges_) succ.edges = std::move(edges);
   succ.state = std::move(next);
   succ.label = std::move(label);
   out.push_back(std::move(succ));
@@ -207,7 +188,7 @@ void SuccGen::append_internal(const SymState& state, bool committed_only,
     next.locs[static_cast<std::size_t>(ref.automaton)] = e.dst;
     apply_assignments(e.update, next.vars);
     apply_resets(e.update, next.zone);
-    emit(std::move(next), capture_ ? std::vector<EdgeRef>{ref} : std::vector<EdgeRef>{},
+    emit(std::move(next), record_edges_ ? std::vector<EdgeRef>{ref} : std::vector<EdgeRef>{},
          edge_label(ref), out);
   }
 }
@@ -240,7 +221,7 @@ void SuccGen::append_binary(const SymState& state, bool committed_only,
         apply_resets(se.update, next.zone);
         apply_resets(re.update, next.zone);
         emit(std::move(next),
-             capture_ ? std::vector<EdgeRef>{send, recv} : std::vector<EdgeRef>{},
+             record_edges_ ? std::vector<EdgeRef>{send, recv} : std::vector<EdgeRef>{},
              edge_label(send) + " ~ " + edge_label(recv), out);
       }
     }
@@ -289,7 +270,7 @@ void SuccGen::append_broadcast(const SymState& state, bool committed_only,
           next.locs[static_cast<std::size_t>(send.automaton)] = se.dst;
           std::string label = edge_label(send);
           std::vector<EdgeRef> parts;
-          if (capture_) parts.push_back(send);
+          if (record_edges_) parts.push_back(send);
           apply_assignments(se.update, next.vars);
           apply_resets(se.update, next.zone);
           // Receivers run in automaton order (choices are built in order).
@@ -300,7 +281,7 @@ void SuccGen::append_broadcast(const SymState& state, bool committed_only,
             apply_assignments(re.update, next.vars);
             apply_resets(re.update, next.zone);
             label += " ~ " + edge_label(recv);
-            if (capture_) parts.push_back(recv);
+            if (record_edges_) parts.push_back(recv);
           }
           emit(std::move(next), std::move(parts), std::move(label), out);
         }

@@ -18,30 +18,21 @@
 
 namespace psv::mc {
 
-/// A participating edge of a transition, by raw network position. Raw
-/// indices are stable across skeleton-equal networks (ta::skeleton_digest),
-/// which is what lets a persisted passed store replay its transitions
-/// against an edited network.
+/// A participating edge of a transition, by raw network position.
 struct EdgeRef {
   ta::AutomatonId automaton = 0;
   int edge_index = 0;
 };
 
 /// One symbolic transition: the successor state plus a printable label of
-/// the participating edges (for diagnostic traces). With capture enabled
-/// (SuccGen::set_capture) the participants and the pre-extrapolation zone
-/// ride along so the passed store can be exported for warm starts.
+/// the participating edges (for diagnostic traces). With edge recording on
+/// (SuccGen::set_record_edges) the participants ride along as well.
 struct SymSuccessor {
   SymState state;
   std::string label;
   /// Participating edges in firing order (sender first); empty unless the
-  /// generator runs in capture mode.
+  /// generator records edges.
   std::vector<EdgeRef> edges;
-  /// Zone after guards/resets/invariants/delay-closure but BEFORE
-  /// extrapolation; only meaningful in capture mode and only when
-  /// `pre_differs` (otherwise it equals `state.zone`).
-  dbm::Dbm pre_zone{0};
-  bool pre_differs = false;
 };
 
 /// Generates initial states and successors for a validated network.
@@ -62,29 +53,10 @@ class SuccGen {
   /// True iff some automaton rests in an urgent or committed location.
   bool time_frozen(const std::vector<ta::LocId>& locs) const;
 
-  /// Record participating edges and pre-extrapolation zones on every
-  /// generated successor (store-export mode). Off by default; the cold
-  /// exploration path pays nothing.
-  void set_capture(bool capture) { capture_ = capture; }
-  bool capture() const { return capture_; }
-
-  /// Re-derive the successor reached via `edges` from a parent zone under
-  /// THIS network: clock guards in participant order, then resets in
-  /// participant order, then finalize (invariants, delay closure,
-  /// extrapolation). `child` must arrive with its discrete parts (locs,
-  /// vars) already set — they are identical across skeleton-equal networks
-  /// — and its zone holding a copy of the parent zone. Returns false when
-  /// the zone empties under this network's constraints. `pre`/`pre_differs`
-  /// optionally capture the pre-extrapolation zone, as in finalize().
-  bool replay(const std::vector<EdgeRef>& edges, SymState& child, dbm::Dbm* pre = nullptr,
-              bool* pre_differs = nullptr) const;
-
-  /// Apply this generator's extrapolation to a zone (for re-extrapolating
-  /// an imported pre-extrapolation zone under new constants).
-  void extrapolate(dbm::Dbm& zone) const { zone.extrapolate_max_bounds(max_consts_); }
-
-  /// Effective extrapolation constants, indexed by DBM clock index (0..n).
-  const std::vector<std::int32_t>& max_consts() const { return max_consts_; }
+  /// Record the participating edges on every generated successor (the
+  /// simulator's event tap maps them to platform events). Off by default;
+  /// the exploration path pays nothing.
+  void set_record_edges(bool record) { record_edges_ = record; }
 
  private:
   const ta::Edge& edge(const EdgeRef& ref) const;
@@ -106,17 +78,15 @@ class SuccGen {
 
   /// Finish a successor: target invariants, optional delay closure,
   /// invariants again, extrapolation. Returns false if the zone is empty.
-  /// With `pre` non-null, copies the zone into *pre immediately before
-  /// extrapolation and sets *pre_differs when extrapolation changed it.
-  bool finalize(SymState& state, dbm::Dbm* pre = nullptr, bool* pre_differs = nullptr) const;
+  bool finalize(SymState& state) const;
 
   /// Priority filter: with committed locations active, only edges leaving a
   /// committed location (in some participant) may fire.
   bool committed_active(const std::vector<ta::LocId>& locs) const;
   bool loc_committed(ta::AutomatonId a, ta::LocId l) const;
 
-  /// Finalize `next` and append it to `out` (dropping empty zones). In
-  /// capture mode also records the participants and pre-extrapolation zone.
+  /// Finalize `next` and append it to `out` (dropping empty zones), with the
+  /// participants when edges are recorded.
   void emit(SymState&& next, std::vector<EdgeRef>&& edges, std::string&& label,
             std::vector<SymSuccessor>& out) const;
 
@@ -131,7 +101,7 @@ class SuccGen {
 
   const ta::Network& net_;
   std::vector<std::int32_t> max_consts_;  // indexed by DBM clock index (0..n)
-  bool capture_ = false;
+  bool record_edges_ = false;
   // Edge indices grouped for fast lookup.
   std::vector<EdgeRef> internal_edges_;
   std::vector<std::vector<EdgeRef>> send_edges_;  // per channel

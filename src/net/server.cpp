@@ -23,7 +23,6 @@ struct ReportWork {
   std::uint64_t explorations = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t states_reused = 0;  ///< ancestor states warm-start seeding saved
 };
 
 ReportWork tally(const core::VerifyReport& report) {
@@ -33,7 +32,6 @@ ReportWork tally(const core::VerifyReport& report) {
       work.explorations += static_cast<std::uint64_t>(stage.explorations);
       work.cache_hits += static_cast<std::uint64_t>(stage.cache.hits);
       work.cache_misses += static_cast<std::uint64_t>(stage.cache.misses);
-      work.states_reused += static_cast<std::uint64_t>(stage.explore.warm_states_reused);
     }
   };
   add(report.pim_stages);
@@ -211,8 +209,6 @@ void Server::handle_verify(const std::shared_ptr<Connection>& conn, Frame frame)
       explorations_total_.fetch_add(work.explorations);
       cache_hits_total_.fetch_add(work.cache_hits);
       cache_misses_total_.fetch_add(work.cache_misses);
-      if (work.states_reused > 0) warm_starts_.fetch_add(1);
-      states_reused_total_.fetch_add(work.states_reused);
       ByteWriter out;
       core::encode_verify_report(out, report);
       // Count before writing: a client that reads this response and
@@ -281,10 +277,8 @@ void Server::handle_synth(const std::shared_ptr<Connection>& conn, Frame frame) 
       synth_requests_.fetch_add(1);
       synth_candidates_.fetch_add(report.stats.candidates_total);
       synth_pruned_.fetch_add(report.stats.pruned_analytic + report.stats.pruned_dominated);
-      synth_explored_.fetch_add(report.stats.explored_cold + report.stats.explored_warm);
+      synth_explored_.fetch_add(report.stats.explored_cold);
       synth_fresh_states_.fetch_add(report.stats.fresh_states);
-      if (report.stats.warm_states_reused > 0) warm_starts_.fetch_add(1);
-      states_reused_total_.fetch_add(report.stats.warm_states_reused);
       ByteWriter out;
       core::encode_synth_report(out, report, conn->version);
       requests_ok_.fetch_add(1);
@@ -404,8 +398,6 @@ ServerStats Server::stats() const {
   stats.explorations_total = explorations_total_.load();
   stats.cache_hits_total = cache_hits_total_.load();
   stats.cache_misses_total = cache_misses_total_.load();
-  stats.warm_starts = warm_starts_.load();
-  stats.states_reused = states_reused_total_.load();
   stats.synth_requests = synth_requests_.load();
   stats.synth_candidates = synth_candidates_.load();
   stats.synth_pruned = synth_pruned_.load();

@@ -151,8 +151,6 @@ class Server {
   std::atomic<std::uint64_t> explorations_total_{0};
   std::atomic<std::uint64_t> cache_hits_total_{0};
   std::atomic<std::uint64_t> cache_misses_total_{0};
-  std::atomic<std::uint64_t> warm_starts_{0};
-  std::atomic<std::uint64_t> states_reused_total_{0};
   // Scheme synthesis (kSynth, protocol v3).
   std::atomic<std::uint64_t> synth_requests_{0};
   std::atomic<std::uint64_t> synth_candidates_{0};

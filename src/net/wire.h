@@ -124,15 +124,16 @@ struct ServerStats {
   std::uint64_t explorations_total = 0;   ///< summed over served requests
   std::uint64_t cache_hits_total = 0;     ///< artifact-cache hits, served requests
   std::uint64_t cache_misses_total = 0;
-  // Incremental exploration (protocol v2).
-  std::uint64_t warm_starts = 0;    ///< served requests that reused an ancestor store
-  std::uint64_t states_reused = 0;  ///< ancestor states seeded without re-exploration
+  // Always zero: warm start was removed; the protocol-v2 slots stay so the
+  // wire encoding and the benchmark's readers are unchanged.
+  std::uint64_t warm_starts = 0;
+  std::uint64_t states_reused = 0;
   // Scheme synthesis (protocol v3; encoded only on v3+ connections).
   std::uint64_t synth_requests = 0;         ///< kSynth jobs served
   std::uint64_t synth_candidates = 0;       ///< lattice points across served jobs
   std::uint64_t synth_pruned = 0;           ///< analytic + dominated cuts
   std::uint64_t synth_explored = 0;         ///< candidates actually verified
-  std::uint64_t synth_fresh_states = 0;     ///< fresh-state cost of served jobs
+  std::uint64_t synth_fresh_states = 0;     ///< states explored by served jobs
 };
 
 void encode_wire_error(ByteWriter& out, const WireError& error);

@@ -135,11 +135,11 @@ TapResult tap_trace(const ta::Network& net, const mc::Trace& trace,
     return result;
   }
 
-  // Re-derive the trace through the symbolic semantics in capture mode: the
+  // Re-derive the trace through the symbolic semantics, recording edges: the
   // participating edges of every step are what the time system and the
   // event mapping are built from.
   mc::SuccGen gen(net, witness_consts);
-  gen.set_capture(true);
+  gen.set_record_edges(true);
   std::vector<mc::SymState> states;
   std::vector<std::vector<mc::EdgeRef>> edges;
   states.push_back(gen.initial());

@@ -72,11 +72,9 @@ NetworkFingerprint fingerprint(const Network& net);
 /// values, variable ranges, initial locations — encoded in RAW declaration
 /// order with raw ids. Two networks with equal skeletons differ at most in
 /// clock constants at structurally identical positions, so raw edge and
-/// location indices align between them; that is exactly the compatibility
-/// contract of a passed-store warm start (mc/store.h), and the digest keys
-/// the "compatible ancestor" index of the artifact cache. Deliberately NOT
-/// canonicalized: a reordered edge list changes raw indices, so it must
-/// (and does) change the skeleton.
+/// location indices align between them — the shape of a one-constant
+/// scheme edit. Deliberately NOT canonicalized: a reordered edge list
+/// changes raw indices, so it must (and does) change the skeleton.
 Digest128 skeleton_digest(const Network& net);
 
 // --- Canonical encoders shared with query-key computation (src/mc) --------

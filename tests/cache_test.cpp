@@ -13,13 +13,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/analysis.h"
 #include "core/framework.h"
-#include "dbm/dbm.h"
+#include "core/service.h"
 #include "core/pim.h"
 #include "core/transform.h"
 #include "lang/model_parser.h"
@@ -85,9 +86,8 @@ mc::VerificationArtifact sample_artifact() {
   artifact.deadlock.trace.steps = {{"delay", "(L0, M0) vars{} zone{}"}};
   artifact.deadlock.stats = {100, 90, 300, 12};
 
-  // v4 payload: memoized reachability / bounded-response results, the
-  // skeleton digest, and a small passed store. The fuzzing tests below
-  // corrupt (and truncate inside) these bytes too.
+  // v4 payload: memoized reachability / bounded-response results. The
+  // fuzzing tests below corrupt (and truncate inside) these bytes too.
   mc::VerificationArtifact::ReachEntry reach;
   reach.query = Digest128{0x5555, 0x6666};
   reach.result.reachable = true;
@@ -100,33 +100,6 @@ mc::VerificationArtifact sample_artifact() {
   response.result.violation.steps = {{"delay", "(L1, M0) vars{} zone{t>80}"}};
   response.result.stats = {41, 34, 81, 5};
   artifact.responses.push_back(response);
-  artifact.skeleton = Digest128{0xbbbb, 0xcccc};
-
-  mc::PassedStoreExport store;
-  store.num_clocks = 1;
-  store.num_vars = 1;
-  store.num_automata = 1;
-  store.max_consts = {0, 30};
-  store.edge_digests = {{Digest128{0x1, 0x2}}};
-  store.inv_digests = {{Digest128{0x3, 0x4}}};
-  mc::StoreEntry initial;
-  initial.locs = {0};
-  initial.vars = {7};
-  initial.zone = dbm::Dbm(1);
-  store.entries.push_back(initial);
-  mc::StoreEntry child;
-  child.parent = 0;
-  child.label = "M.Idle->Work[req?]";
-  child.edges = {{0, 0}};
-  child.locs = {1};
-  child.vars = {8};
-  child.zone = dbm::Dbm(1);
-  child.zone.up();
-  child.pre_zone = dbm::Dbm(1);
-  child.pre_differs = true;
-  child.covers = {0};
-  store.entries.push_back(child);
-  artifact.store = std::move(store);
   return artifact;
 }
 
@@ -174,41 +147,6 @@ void expect_artifacts_equal(const mc::VerificationArtifact& a, const mc::Verific
     EXPECT_EQ(a.responses[i].result.holds, b.responses[i].result.holds);
     EXPECT_EQ(a.responses[i].result.violation.to_string(),
               b.responses[i].result.violation.to_string());
-  }
-  EXPECT_EQ(a.skeleton, b.skeleton);
-  ASSERT_EQ(a.store.has_value(), b.store.has_value());
-  if (a.store.has_value()) {
-    EXPECT_EQ(a.store->num_clocks, b.store->num_clocks);
-    EXPECT_EQ(a.store->num_vars, b.store->num_vars);
-    EXPECT_EQ(a.store->num_automata, b.store->num_automata);
-    EXPECT_EQ(a.store->max_consts, b.store->max_consts);
-    EXPECT_EQ(a.store->edge_digests, b.store->edge_digests);
-    EXPECT_EQ(a.store->inv_digests, b.store->inv_digests);
-    ASSERT_EQ(a.store->entries.size(), b.store->entries.size());
-    for (std::size_t i = 0; i < a.store->entries.size(); ++i) {
-      const mc::StoreEntry& x = a.store->entries[i];
-      const mc::StoreEntry& y = b.store->entries[i];
-      EXPECT_EQ(x.parent, y.parent);
-      EXPECT_EQ(x.label, y.label);
-      ASSERT_EQ(x.edges.size(), y.edges.size());
-      for (std::size_t e = 0; e < x.edges.size(); ++e) {
-        EXPECT_EQ(x.edges[e].automaton, y.edges[e].automaton);
-        EXPECT_EQ(x.edges[e].edge_index, y.edges[e].edge_index);
-      }
-      EXPECT_EQ(x.locs, y.locs);
-      EXPECT_EQ(x.vars, y.vars);
-      EXPECT_EQ(x.pre_differs, y.pre_differs);
-      EXPECT_EQ(x.covers, y.covers);
-      ASSERT_EQ(x.zone.dim(), y.zone.dim());
-      for (int r = 0; r < x.zone.dim(); ++r)
-        for (int c = 0; c < x.zone.dim(); ++c)
-          EXPECT_EQ(x.zone.at(r, c), y.zone.at(r, c)) << "zone[" << r << "][" << c << "]";
-      if (x.pre_differs) {
-        ASSERT_EQ(x.pre_zone.dim(), y.pre_zone.dim());
-        for (int r = 0; r < x.pre_zone.dim(); ++r)
-          for (int c = 0; c < x.pre_zone.dim(); ++c) EXPECT_EQ(x.pre_zone.at(r, c), y.pre_zone.at(r, c));
-      }
-    }
   }
 }
 
@@ -312,9 +250,9 @@ TEST(ArtifactHardening, VersionAndEndiannessMismatchesAreRejected) {
   write_file_bytes(store.path_of(key), bumped);
   EXPECT_FALSE(store.load(key).has_value());
 
-  // A stale v3 file (no reach/response memos, no skeleton, no passed store)
-  // is rejected the same way: a warned miss that makes the session
-  // re-explore and overwrite it with the current format.
+  // A stale file of the previous version is rejected the same way: a
+  // warned miss that makes the session re-explore and overwrite it with the
+  // current format.
   std::vector<std::uint8_t> stale = pristine;
   stale[4] = static_cast<std::uint8_t>(mc::kArtifactFormatVersion - 1);
   write_file_bytes(store.path_of(key), stale);
@@ -550,6 +488,115 @@ TEST(SessionPersistence, CorruptArtifactFallsBackToExploration) {
   ASSERT_TRUE(result.bounded);
   EXPECT_EQ(result.bound, 30);
   EXPECT_GT(probe_session.stats().explorations, 0) << "must have re-explored";
+}
+
+// --- Artifact format v5 ----------------------------------------------------
+
+/// Size of the artifact file header: magic, version, endianness marker, key
+/// echo, payload size and payload checksum.
+constexpr std::size_t kArtifactHeaderSize = 4 + 4 + 2 + 16 + 8 + 16;
+
+/// Frame `payload` the way ArtifactStore does, under an arbitrary version.
+std::vector<std::uint8_t> framed_artifact(std::uint32_t version, const mc::ArtifactKey& key,
+                                          const std::vector<std::uint8_t>& payload) {
+  ByteWriter out;
+  out.raw("PSVA", 4);
+  out.u32(version);
+  const std::uint16_t endian = 0xFEFF;
+  out.raw(&endian, sizeof endian);  // native order, as the store writes it
+  out.u64(key.digest.hi);
+  out.u64(key.digest.lo);
+  out.u64(payload.size());
+  const Digest128 checksum = digest128(payload.data(), payload.size());
+  out.u64(checksum.hi);
+  out.u64(checksum.lo);
+  out.raw(payload.data(), payload.size());
+  return out.take();
+}
+
+// A format-v4 file (a v5 payload followed by v4's skeleton digest and its
+// passed-store section) written under the current key layout: the store
+// must treat it as a warned miss without throwing, and the session must
+// re-explore and replace it with a v5 file that loads.
+TEST(ArtifactFormat, HandWrittenV4ArtifactIsACleanMiss) {
+  TempCacheDir dir;
+  std::vector<std::string> warnings;
+  mc::ArtifactStore store(dir.str(), [&warnings](const std::string& w) { warnings.push_back(w); });
+  const Network net = tiny_net();
+
+  std::vector<std::uint8_t> payload = sample_artifact().serialize();
+  ByteWriter v4_tail;
+  v4_tail.u64(0xbbbb);  // skeleton digest
+  v4_tail.u64(0xcccc);
+  v4_tail.boolean(false);  // no passed store
+  payload.insert(payload.end(), v4_tail.buffer().begin(), v4_tail.buffer().end());
+
+  mc::VerificationSession session(net, {});
+  write_file_bytes(store.path_of(session.cache_key()),
+                   framed_artifact(4, session.cache_key(), payload));
+  std::optional<mc::VerificationArtifact> loaded;
+  EXPECT_NO_THROW(loaded = store.load(session.cache_key()));
+  EXPECT_FALSE(loaded.has_value());
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("version 4"), std::string::npos) << warnings[0];
+
+  EXPECT_FALSE(session.load(store));
+  const mc::MaxClockResult result = session.max_clock_value(tiny_query(net));
+  ASSERT_TRUE(result.bounded);
+  EXPECT_EQ(result.bound, 30);
+  EXPECT_GT(session.stats().explorations, 0) << "a v4 file must not serve answers";
+  ASSERT_TRUE(session.store(store));
+
+  mc::VerificationSession reloaded(net, {});
+  EXPECT_TRUE(reloaded.load(store)) << "the v5 file written over it must load";
+  EXPECT_EQ(reloaded.max_clock_value(tiny_query(net)).bound, 30);
+  EXPECT_EQ(reloaded.stats().explorations, 0);
+}
+
+// A v5 reload of the quickstart pipeline answers every stage without
+// exploring, and the cache directory holds nothing but v5 artifacts whose
+// payloads are exactly the memo sections: decoding and re-encoding each one
+// reproduces its bytes, so no passed-store section can hide in them.
+TEST(ArtifactFormat, V5ReloadExploresNothingAndStoresNoPassedStore) {
+  const std::string model_dir = find_model_dir();
+  if (model_dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
+  core::VerifyRequest request;
+  request.pim = lang::parse_model(read_file(model_dir + "quickstart.psv"));
+  request.schemes = {lang::parse_scheme(read_file(model_dir + "fast.pss"))};
+  request.requirements = {{"QREQ", "Req", "Ack", 80}};
+  TempCacheDir dir;
+  request.options.cache_dir = dir.str();
+
+  const core::VerifyReport cold = core::Verifier().verify(request);
+  const core::VerifyReport reload = core::Verifier().verify(request);
+  EXPECT_EQ(reload.schemes[0].requirements[0].bounds.to_string(),
+            cold.schemes[0].requirements[0].bounds.to_string());
+  EXPECT_EQ(reload.schemes[0].slack.to_string(4), cold.schemes[0].slack.to_string(4));
+  std::vector<core::VerifyStageStats> stages = reload.pim_stages;
+  stages.insert(stages.end(), reload.schemes[0].stages.begin(), reload.schemes[0].stages.end());
+  for (const core::VerifyStageStats& stage : stages) {
+    EXPECT_EQ(stage.explore.states_explored, 0u) << stage.name;
+    EXPECT_EQ(stage.explorations, 0) << stage.name;
+  }
+
+  int artifacts = 0;
+  for (const auto& file : std::filesystem::directory_iterator(dir.path)) {
+    EXPECT_EQ(file.path().extension(), ".psvart") << file.path();
+    std::ifstream in(file.path(), std::ios::binary);
+    const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                          std::istreambuf_iterator<char>());
+    ASSERT_GT(bytes.size(), kArtifactHeaderSize);
+    ByteReader header(bytes.data(), kArtifactHeaderSize);
+    char magic[4];
+    header.raw(magic, sizeof magic);
+    EXPECT_EQ(header.u32(), 5u) << file.path();
+    const std::vector<std::uint8_t> payload(bytes.begin() + kArtifactHeaderSize, bytes.end());
+    ByteReader reader(payload);
+    const mc::VerificationArtifact decoded = mc::VerificationArtifact::deserialize(reader);
+    EXPECT_EQ(decoded.serialize(), payload) << file.path();
+    ++artifacts;
+  }
+  EXPECT_EQ(artifacts, 2) << "one artifact for the PIM stage, one for the PSM stages";
 }
 
 // --- Pipeline-level warm/cold differential ---------------------------------

@@ -341,8 +341,7 @@ TEST(Daemon, SynthOverWireMatchesInProcess) {
   const net::ServerStats stats = client.server_stats();
   EXPECT_EQ(stats.synth_requests, 1u);
   EXPECT_EQ(stats.synth_candidates, expected.stats.candidates_total);
-  EXPECT_EQ(stats.synth_explored,
-            expected.stats.explored_cold + expected.stats.explored_warm);
+  EXPECT_EQ(stats.synth_explored, expected.stats.explored_cold);
   EXPECT_EQ(stats.synth_pruned,
             expected.stats.pruned_analytic + expected.stats.pruned_dominated);
   server.stop();

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "gpca/pump_model.h"
 #include "lang/model_parser.h"
 #include "lang/scheme_parser.h"
+#include "mc/artifact.h"
 #include "mc/query.h"
 #include "mc/session.h"
 #include "model_paths.h"
@@ -137,10 +139,12 @@ TEST(QueryEngineDifferential, QuickstartPipelineIdenticalAcrossEnginesAndJobs) {
 // unbounded without the invariant.
 // `hi_delta`/`period_delta` perturb ONE seeded timing constant (clamped so
 // the net stays live) without touching the rng sequence or the structure:
-// the perturbed net is skeleton-equal to the unperturbed one — the shape the
-// incremental-exploration warm start targets.
+// the shape of a one-constant scheme edit. `with_flags` adds two sticky 0/1
+// flags in the style of the C1–C4 constraint flags: `served` is raised by
+// every response, `stuck` never.
 Network random_reqresp_net(std::uint64_t seed, bool bounded, std::int32_t& expected_hi,
-                           std::int32_t hi_delta = 0, std::int32_t period_delta = 0) {
+                           std::int32_t hi_delta = 0, std::int32_t period_delta = 0,
+                           bool with_flags = false) {
   Rng rng(seed);
   Network net("rand" + std::to_string(seed));
   const ClockId t = net.add_clock("t");
@@ -185,6 +189,11 @@ Network random_reqresp_net(std::uint64_t seed, bool bounded, std::int32_t& expec
   give.dst = midle;
   give.guard.clocks = {cc_ge(x, lo)};
   give.sync = SyncLabel::send(resp);
+  if (with_flags) {
+    const VarId served = net.add_var("served", 0, 0, 1);
+    net.add_var("stuck", 0, 0, 1);
+    give.update.assignments = {{served, IntExpr::constant(1)}};
+  }
   m.add_edge(give);
   net.add_automaton(std::move(m));
 
@@ -439,65 +448,105 @@ TEST(SessionReuse, RepeatedFlagChecksShareOneExploration) {
   EXPECT_TRUE(first.all_hold()) << first.to_string();
 }
 
-// --- Incremental exploration (warm start) ------------------------------------
+// --- Edit path: re-verify cold through a shared cache ------------------------
 
-// Property, over the seeded randomized family: adopt the unperturbed net's
-// passed store into a session for a RANDOMLY single-edit-perturbed net
-// (one timing constant raised, lowered, or a period stretched — the
-// skeleton never changes) and the warm answers are bit-identical to a cold
-// session's at every thread count and under both engines. The ancestor only
-// accelerates the sweep engine; under the probe engine adoption must be an
-// exact no-op. Upward edits must actually reuse or revalidate stored states
-// — otherwise the warm start silently degraded to a cold run.
-TEST(IncrementalExploration, SeededPerturbedNetsWarmMatchesColdAcrossEnginesAndJobs) {
+/// Every byte of a bound answer a report can show: verdict, bound, witness
+/// and ranked traces, witness constants and exploration statistics.
+std::string render(const mc::MaxClockResult& r) {
+  std::ostringstream os;
+  os << r.bounded << " " << r.bound << " " << r.condition_unreachable << " " << r.probes << "\n"
+     << r.witness.to_string();
+  for (const mc::RankedWitness& w : r.ranked)
+    os << "ranked " << w.value << "\n" << w.trace.to_string();
+  for (const std::int32_t c : r.witness_consts) os << c << ",";
+  os << "\nstats " << r.stats.states_stored << " " << r.stats.states_explored << " "
+     << r.stats.transitions_fired << " " << r.stats.subsumed << "\n";
+  return os.str();
+}
+
+/// What one verification of a seeded net answers: the bound, the verdict
+/// at the requirement bound, the slack report and the flag/deadlock sweep.
+std::string verify_rendered(mc::VerificationSession& session, const Network& net,
+                            std::int64_t bound_ms) {
+  const mc::BoundQuery query{mc::at(net, "ENV", "Await"), 0, 10'000, /*hint=*/64};
+  const std::vector<ta::VarId> flags = {*net.var_by_name("served"), *net.var_by_name("stuck")};
+  const mc::VerificationSession::BatchReport batch = session.verify_batch({query}, flags);
+  const mc::BoundedResponseResult verdict =
+      session.check_bounded_response(query.pred, query.clock, bound_ms);
+  const core::SlackReport slack =
+      core::compute_slack_report({{"R", "req", "resp", bound_ms}}, batch.bounds, 10'000);
+  std::ostringstream os;
+  os << render(batch.bounds.front()) << "verdict " << verdict.holds << "\n"
+     << verdict.violation.to_string() << slack.to_string(mc::kDefaultTopK) << "flags";
+  for (const bool reachable : batch.flags.reachable) os << " " << reachable;
+  os << "\ndeadlock " << batch.flags.deadlock.found << " " << batch.flags.deadlock.timelock
+     << "\n" << batch.flags.deadlock.trace.to_string();
+  return os.str();
+}
+
+// Differential oracle for the edit path, over the seeded randomized family:
+// verify the unperturbed net, then a randomly single-edit-perturbed net
+// (one timing constant raised, lowered, or a period stretched), through
+// one shared cache directory. The edit must miss the cache — never serving
+// the base net's answers — and its bounds, verdicts, slack and flags must
+// be bit-identical to an uncached cold run, at every thread count and under
+// both engines. A reload of the edit then serves the same bytes without
+// exploring.
+TEST(EditReverify, SeededPerturbedNetsMatchUncachedColdAcrossEnginesAndJobs) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     std::int32_t base_hi = 0;
-    const Network base = random_reqresp_net(seed, /*bounded=*/true, base_hi);
-
-    // One random single-constant edit: raise the work window, shrink it, or
-    // stretch the interleaver period.
+    const Network base = random_reqresp_net(seed, /*bounded=*/true, base_hi, 0, 0, true);
     Rng perturb_rng(seed * 977 + 13);
     const auto which = static_cast<int>(perturb_rng.uniform_int(0, 2));
     const auto d = static_cast<std::int32_t>(perturb_rng.uniform_int(1, 30));
     const std::int32_t hi_delta = which == 0 ? d : which == 1 ? -d : 0;
     const std::int32_t period_delta = which == 2 ? d : 0;
     std::int32_t hi = 0;
-    const Network perturbed = random_reqresp_net(seed, true, hi, hi_delta, period_delta);
-    ASSERT_EQ(ta::skeleton_digest(base), ta::skeleton_digest(perturbed))
-        << "seed " << seed << ": a constant edit must not change the skeleton";
+    const Network perturbed = random_reqresp_net(seed, true, hi, hi_delta, period_delta, true);
 
-    // The ancestor: one captured sweep over the unperturbed net.
-    mc::VerificationSession ancestor(base, engine_opts(mc::QueryEngine::kSweep, 1));
-    mc::BoundQuery base_query{mc::at(base, "ENV", "Await"), 0, 10'000, /*hint=*/64};
-    ancestor.max_clock_value(base_query);
-    const std::shared_ptr<const mc::PassedStoreExport> store = ancestor.exported_store();
-    ASSERT_NE(store, nullptr) << "seed " << seed << ": sweep session exported no store";
-
-    const mc::BoundQuery query{mc::at(perturbed, "ENV", "Await"), 0, 10'000, /*hint=*/64};
     for (const mc::QueryEngine engine : {mc::QueryEngine::kSweep, mc::QueryEngine::kProbe}) {
-      for (const unsigned jobs : {1u, 2u, 8u}) {
+      for (const unsigned jobs : {1u, 4u}) {
         const std::string label = "seed " + std::to_string(seed) + " edit " +
                                   std::to_string(which) + " engine " +
                                   (engine == mc::QueryEngine::kSweep ? "sweep" : "probe") +
                                   " jobs " + std::to_string(jobs);
-        mc::VerificationSession cold(perturbed, engine_opts(engine, jobs));
-        const mc::MaxClockResult cold_result = cold.max_clock_value(query);
+        const mc::ExploreOptions opts = engine_opts(engine, jobs);
+        const std::filesystem::path dir =
+            std::filesystem::temp_directory_path() /
+            ("psv-edit-reverify-" +
+             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "-" +
+             std::to_string(seed) + "-" + std::to_string(jobs) + "-" +
+             std::to_string(static_cast<int>(engine)));
+        std::filesystem::remove_all(dir);
+        const mc::ArtifactStore store(dir.string());
 
-        mc::VerificationSession warm(perturbed, engine_opts(engine, jobs));
-        warm.adopt_ancestor(store);
-        const mc::MaxClockResult warm_result = warm.max_clock_value(query);
+        mc::VerificationSession base_session(base, opts);
+        EXPECT_FALSE(base_session.load(store)) << label;
+        const std::string base_answer = verify_rendered(base_session, base, base_hi);
+        ASSERT_TRUE(base_session.store(store)) << label;
 
-        expect_same_answer(cold_result, warm_result, label);
-        ASSERT_TRUE(warm_result.bounded) << label;
-        EXPECT_EQ(warm_result.bound, hi) << label;
-        if (engine == mc::QueryEngine::kSweep) {
-          EXPECT_GT(warm.stats().warm_start_states_reused() + warm.stats().states_revalidated(),
-                    0u)
-              << label << ": adopted ancestor was never consulted";
-        } else {
-          EXPECT_EQ(warm.stats().warm_start_states_reused(), 0u)
-              << label << ": the probe engine must ignore ancestors";
+        mc::VerificationSession edited(perturbed, opts);
+        EXPECT_FALSE(edited.cache_key() == base_session.cache_key()) << label;
+        EXPECT_FALSE(edited.load(store)) << label << ": the edit must miss the cache";
+        const std::string edited_answer = verify_rendered(edited, perturbed, base_hi);
+        EXPECT_EQ(edited.stats().entries_loaded, 0) << label;
+        EXPECT_GT(edited.stats().explorations, 0) << label;
+        ASSERT_TRUE(edited.store(store)) << label;
+
+        mc::VerificationSession cold(perturbed, opts);
+        EXPECT_EQ(edited_answer, verify_rendered(cold, perturbed, base_hi)) << label;
+        if (hi != base_hi) {
+          EXPECT_NE(edited_answer, base_answer) << label;
         }
+        EXPECT_EQ(edited.max_clock_value({mc::at(perturbed, "ENV", "Await"), 0, 10'000, 64}).bound,
+                  hi)
+            << label;
+
+        mc::VerificationSession reloaded(perturbed, opts);
+        EXPECT_TRUE(reloaded.load(store)) << label;
+        EXPECT_EQ(verify_rendered(reloaded, perturbed, base_hi), edited_answer) << label;
+        EXPECT_EQ(reloaded.stats().explorations, 0) << label;
+        std::filesystem::remove_all(dir);
       }
     }
   }

@@ -1,8 +1,8 @@
 // Scheme-synthesis tests (core/synth.h) on the quickstart lattice
 // (examples/models/quickstart.psv x fast_sweep.pss, 8 candidates): frontier
 // byte-identity across worker counts, visit orders and pruning; pruned
-// candidates spot-re-verified cold as genuinely failing; warm-start sharing;
-// cooperative cancellation; request validation.
+// candidates spot-re-verified cold as genuinely failing; cooperative
+// cancellation; request validation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -85,8 +85,8 @@ TEST(SchemeSynthesizer, FrontierIdenticalAcrossWorkersOrdersAndPruning) {
       core::SchemeSynthesizer synthesizer(verifier);
       const core::SynthReport report = synthesizer.run(src.request(workers, seed));
       EXPECT_EQ(report.stats.candidates_total, 8u);
-      EXPECT_EQ(report.stats.explored_cold + report.stats.explored_warm +
-                    report.stats.pruned_analytic + report.stats.pruned_dominated,
+      EXPECT_EQ(report.stats.explored_cold + report.stats.pruned_analytic +
+                    report.stats.pruned_dominated,
                 8u);
       if (reference.empty()) reference = report.frontier_text();
       EXPECT_EQ(report.frontier_text(), reference)
@@ -136,23 +136,6 @@ TEST(SchemeSynthesizer, PrunedCandidatesReverifyColdAsFailing) {
   }
 }
 
-TEST(SchemeSynthesizer, WarmStartsEveryExplorationAfterTheFirst) {
-  Sources src;
-  if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
-
-  core::Verifier verifier;
-  core::SchemeSynthesizer synthesizer(verifier);
-  const core::SynthReport report = synthesizer.run(src.request(1));
-  EXPECT_EQ(report.stats.explored_cold, 1u);
-  EXPECT_GE(report.stats.explored_warm, 1u);
-
-  std::uint64_t reused = 0;
-  for (const core::CandidateOutcome& c : report.candidates)
-    reused += c.explore.warm_states_reused;
-  EXPECT_GT(reused, 0u) << "warm candidates must adopt pinned-ancestor states";
-  EXPECT_GT(report.stats.fresh_states, 0u);
-}
-
 TEST(SchemeSynthesizer, FeasibilityFrontierNamesTheTightestWitness) {
   Sources src;
   if (!src.ok) GTEST_SKIP() << "example model files not found from test cwd";
@@ -169,9 +152,7 @@ TEST(SchemeSynthesizer, FeasibilityFrontierNamesTheTightestWitness) {
   // is a candidate that attains it.
   std::int64_t tightest = -1;
   for (const core::CandidateOutcome& c : report.candidates) {
-    if (c.status != core::CandidateOutcome::Status::kExploredCold &&
-        c.status != core::CandidateOutcome::Status::kExploredWarm)
-      continue;
+    if (c.status != core::CandidateOutcome::Status::kExploredCold) continue;
     if (!c.constraints_ok || c.bounded.empty() || c.bounded.front() == 0) continue;
     if (tightest < 0 || c.delays.front() < tightest) tightest = c.delays.front();
   }

@@ -187,63 +187,6 @@ TEST(Serde, LengthPrefixValidatedAgainstRemainder) {
   EXPECT_THROW(r.length(8), Error);
 }
 
-TEST(Serde, Int32ArrayIsExactlyTheBytesOfI32Writes) {
-  // Zones travel as i32_array; this pins the artifact bytes to the
-  // per-element little-endian encoding.
-  const std::vector<std::int32_t> values = {0,       1,  -1,     0x12345678, INT32_MIN,
-                                            INT32_MAX, -2, 1 << 30, 0x7f,       -0x80};
-  ByteWriter bulk;
-  bulk.u8(0xaa);  // unaligned start
-  bulk.i32_array(values.data(), values.size());
-  ByteWriter each;
-  each.u8(0xaa);
-  for (std::int32_t v : values) each.i32(v);
-  EXPECT_EQ(bulk.buffer(), each.buffer());
-  EXPECT_EQ(bulk.buffer()[1], 0x00);
-  EXPECT_EQ(bulk.buffer()[13], 0x78);  // 0x12345678 starts with its low byte
-  EXPECT_EQ(bulk.buffer()[16], 0x12);
-
-  ByteReader r(bulk.buffer());
-  EXPECT_EQ(r.u8(), 0xaa);
-  std::vector<std::int32_t> back(values.size());
-  r.i32_array(back.data(), back.size());
-  EXPECT_EQ(back, values);
-  EXPECT_TRUE(r.at_end());
-
-  ByteWriter none;
-  none.i32_array(values.data(), 0);
-  EXPECT_EQ(none.size(), 0u);
-}
-
-TEST(Serde, Int32ArrayReadIsBoundsCheckedUpFront) {
-  const std::vector<std::int32_t> values = {5, 6, 7, 8};
-  ByteWriter w;
-  w.i32_array(values.data(), values.size());
-  const std::vector<std::uint8_t>& bytes = w.buffer();
-  const auto expect_protocol = [](auto&& read) {
-    try {
-      read();
-      ADD_FAILURE() << "expected a kProtocol error";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kProtocol) << e.what();
-    }
-  };
-  // Running out mid-array throws before anything is copied or consumed.
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    ByteReader r(bytes.data(), cut);
-    std::vector<std::int32_t> out(values.size(), -9);
-    expect_protocol([&] { r.i32_array(out.data(), out.size()); });
-    EXPECT_EQ(out, std::vector<std::int32_t>(values.size(), -9)) << "prefix " << cut;
-    EXPECT_EQ(r.remaining(), cut);
-  }
-  // A count whose byte size wraps size_t (here to 4 bytes) must not pass.
-  ByteReader r(bytes);
-  std::int32_t sink = 0;
-  expect_protocol([&] { r.i32_array(&sink, SIZE_MAX / 4 + 2); });
-  expect_protocol([&] { r.i32_array(&sink, SIZE_MAX); });
-  EXPECT_EQ(r.remaining(), bytes.size());
-}
-
 TEST(Error, RequireThrowsWithMessage) {
   try {
     PSV_REQUIRE(false, "bad input");

@@ -116,13 +116,12 @@ int main(int argc, char** argv) {
                 << stats.requests_ok << " ok, " << stats.requests_error << " error, "
                 << stats.requests_busy << " busy) on " << stats.connections_accepted
                 << " connection(s); " << stats.explorations_total << " exploration(s), "
-                << stats.cache_hits_total << " cache hit(s), " << stats.warm_starts
-                << " warm start(s) reusing " << stats.states_reused << " state(s)\n";
+                << stats.cache_hits_total << " cache hit(s)\n";
       if (stats.synth_requests > 0)
         std::cerr << "psv_serve: synthesis: " << stats.synth_requests << " job(s), "
                   << stats.synth_candidates << " candidate(s), " << stats.synth_explored
                   << " explored, " << stats.synth_pruned << " pruned, "
-                  << stats.synth_fresh_states << " fresh state(s)\n";
+                  << stats.synth_fresh_states << " state(s) explored\n";
     }
     return 0;
   } catch (const psv::Error& e) {

@@ -110,9 +110,9 @@ psv::cli::Parser make_parser(CliOptions& cli) {
   parser.flag("--synth", &cli.synth,
               "scheme synthesis: SCHEME.pss is a TEMPLATE whose fields\n"
               "may carry 'sweep LO..HI step S' ranges; the candidate\n"
-              "lattice is searched in parallel with warm-start sharing\n"
-              "and pruning, and the Pareto + feasibility frontiers are\n"
-              "printed as 'frontier:' lines");
+              "lattice is searched in parallel with pruning, and the\n"
+              "Pareto + feasibility frontiers are printed as\n"
+              "'frontier:' lines");
   parser.flag("--synth-workers", &cli.synth_workers, "N",
               "candidate-level synthesis workers (default: auto;\n"
               "frontiers are identical for every value)");
@@ -194,9 +194,9 @@ psv::cli::Parser make_parser(CliOptions& cli) {
               "format of the generated monitor's PSV_MON_MAIN driver");
   parser.flag("--stats-json", &cli.stats_json_path, "FILE",
               "write per-stage statistics (wall clock, states\n"
-              "stored/explored, explorations, warm-start reuse,\n"
-              "cache state) as JSON; batch runs add a per-job\n"
-              "breakdown, --connect runs add the daemon counters");
+              "stored/explored, explorations, cache state) as JSON;\n"
+              "batch runs add a per-job breakdown, --connect runs\n"
+              "add the daemon counters");
   parser.flag("--cache-dir", &cli.cache_dir, "DIR",
               "persist verification artifacts in DIR, keyed on the\n"
               "model's canonical fingerprint: a repeat run on an\n"
@@ -266,9 +266,6 @@ void write_stage(psv::json::Writer& w, const psv::core::VerifyStageStats& s) {
   w.field("states_explored", s.explore.states_explored);
   w.field("transitions_fired", s.explore.transitions_fired);
   w.field("subsumed", s.explore.subsumed);
-  w.field("warm_start_states_reused", s.explore.warm_states_reused);
-  w.field("states_revalidated", s.explore.warm_states_revalidated);
-  w.field("warm_seed_expansions", s.explore.warm_seed_expansions);
   w.field("cache", s.cache.state());
   w.field("cache_hits", s.cache.hits);
   w.field("cache_misses", s.cache.misses);
@@ -301,25 +298,13 @@ void write_requirement(psv::json::Writer& w, const psv::core::SchemeVerification
   w.end_object();
 }
 
-/// Summed warm-start state reuse over a report's explored candidates (the
-/// CI smoke gate asserts this is nonzero).
-std::uint64_t synth_warm_reused(const psv::core::SynthReport& report) {
-  std::uint64_t warm_reused = 0;
-  for (const psv::core::CandidateOutcome& c : report.candidates)
-    warm_reused += c.explore.warm_states_reused;
-  return warm_reused;
-}
-
 /// The synthesis counters the CI gates read.
-void write_synth_counters(psv::json::Writer& w, const psv::core::SynthStats& stats,
-                          std::uint64_t warm_reused) {
+void write_synth_counters(psv::json::Writer& w, const psv::core::SynthStats& stats) {
   w.field("candidates_total", stats.candidates_total);
   w.field("pruned_analytic", stats.pruned_analytic);
   w.field("pruned_dominated", stats.pruned_dominated);
   w.field("explored_cold", stats.explored_cold);
-  w.field("explored_warm", stats.explored_warm);
   w.field("fresh_states", stats.fresh_states);
-  w.field("warm_states_reused", warm_reused);
 }
 
 /// The stats JSON: the historical single-run fields (model, requirement,
@@ -336,22 +321,17 @@ void write_stats_json(const std::string& path, const std::vector<JobOutcome>& ou
   PSV_REQUIRE_AS(psv::ErrorCode::kIo, out.good(), "cannot write '" + path + "'");
 
   int cache_hits = 0, cache_misses = 0, cache_stores = 0;
-  std::size_t warm_reused = 0, revalidated = 0;
   for (const JobOutcome& job : outcomes) {
     for (const psv::core::VerifyStageStats& s : job.report.pim_stages) {
       cache_hits += s.cache.hits;
       cache_misses += s.cache.misses;
       cache_stores += s.cache.stores;
-      warm_reused += s.explore.warm_states_reused;
-      revalidated += s.explore.warm_states_revalidated;
     }
     for (const psv::core::SchemeVerification& sv : job.report.schemes) {
       for (const psv::core::VerifyStageStats& s : sv.stages) {
         cache_hits += s.cache.hits;
         cache_misses += s.cache.misses;
         cache_stores += s.cache.stores;
-        warm_reused += s.explore.warm_states_reused;
-        revalidated += s.explore.warm_states_revalidated;
       }
     }
   }
@@ -377,9 +357,6 @@ void write_stats_json(const std::string& path, const std::vector<JobOutcome>& ou
   w.field("misses", cache_misses);
   w.field("stores", cache_stores);
   w.end_object();
-  // Incremental-exploration totals over every stage of every job.
-  w.field("warm_start_states_reused", warm_reused);
-  w.field("states_revalidated", revalidated);
   if (server_stats.has_value()) {
     w.key("server");
     w.begin_object();
@@ -389,8 +366,6 @@ void write_stats_json(const std::string& path, const std::vector<JobOutcome>& ou
     w.field("explorations_total", server_stats->explorations_total);
     w.field("cache_hits_total", server_stats->cache_hits_total);
     w.field("cache_misses_total", server_stats->cache_misses_total);
-    w.field("warm_starts", server_stats->warm_starts);
-    w.field("states_reused", server_stats->states_reused);
     w.end_object();
   }
   if (first != nullptr) {
@@ -419,26 +394,23 @@ void write_stats_json(const std::string& path, const std::vector<JobOutcome>& ou
     // Aggregate synthesis counters (CI gates grep these), then per job the
     // counters plus both frontiers.
     psv::core::SynthStats totals;
-    std::uint64_t total_warm_reused = 0;
     for (const SynthOutcome& job : synth_outcomes) {
       totals.candidates_total += job.report.stats.candidates_total;
       totals.pruned_analytic += job.report.stats.pruned_analytic;
       totals.pruned_dominated += job.report.stats.pruned_dominated;
       totals.explored_cold += job.report.stats.explored_cold;
-      totals.explored_warm += job.report.stats.explored_warm;
       totals.fresh_states += job.report.stats.fresh_states;
-      total_warm_reused += synth_warm_reused(job.report);
     }
     w.key("synthesis");
     w.begin_object();
-    write_synth_counters(w, totals, total_warm_reused);
+    write_synth_counters(w, totals);
     w.key("jobs");
     w.begin_array();
     for (const SynthOutcome& job : synth_outcomes) {
       w.begin_object();
       w.field("job", job.name);
       w.field("model", job.model_path);
-      write_synth_counters(w, job.report.stats, synth_warm_reused(job.report));
+      write_synth_counters(w, job.report.stats);
       w.key("pareto");
       w.begin_array();
       for (std::size_t index : job.report.pareto) {
@@ -683,7 +655,7 @@ std::vector<SynthOutcome> execute_synth_jobs(
   outcomes.reserve(jobs.size());
   if (connect.empty()) {
     // One Verifier for the whole sweep: every candidate shares the pooled
-    // sessions and the pinned warm-start ancestor.
+    // sessions.
     psv::core::Verifier verifier;
     psv::core::SchemeSynthesizer synthesizer(verifier);
     for (const SynthJob& job : jobs) {
