@@ -9,6 +9,7 @@
 #include "gpca/pump_model.h"
 #include "mc/query.h"
 #include "mc/reach.h"
+#include "mc/succ.h"
 
 using namespace psv;
 
@@ -29,25 +30,38 @@ void BM_DbmCanonicalize(benchmark::State& state) {
 }
 BENCHMARK(BM_DbmCanonicalize)->Arg(4)->Arg(8)->Arg(16);
 
-/// The first `count` zones the pump Table-I exploration stores: the PSM
-/// with the REQ1 and REQ2 end-to-end probes, 13 clocks (dimension 14).
-std::vector<dbm::Dbm> pump_zones(std::size_t count) {
+/// The pump Table-I PSM with the REQ1 and REQ2 end-to-end probes, 13 clocks
+/// (dimension 14), and the first `count` states its exploration stores.
+struct PumpStates {
+  ta::Network net;
+  std::vector<mc::SymState> states;
+};
+
+PumpStates pump_states(std::size_t count) {
   gpca::PumpModelOptions opt;
   opt.include_empty_syringe = false;
   const ta::Network pim = gpca::build_pump_pim(opt);
   const core::PsmArtifacts psm =
       core::transform(pim, gpca::pump_pim_info(pim), gpca::board_scheme(opt));
-  const core::InstrumentedPsmBatch batch = core::instrument_psm_for_requirements(
-      psm, {gpca::req1(opt), {"REQ2", "BolusReq", "StopInfusion", 2500}});
+  PumpStates out{core::instrument_psm_for_requirements(
+                     psm, {gpca::req1(opt), {"REQ2", "BolusReq", "StopInfusion", 2500}})
+                     .net,
+                 {}};
   mc::ExploreOptions opts;
   opts.jobs = 1;
-  mc::Reachability engine(batch.net, mc::when(ta::BoolExpr::truth()), opts);
-  std::vector<dbm::Dbm> zones;
+  mc::Reachability engine(out.net, mc::when(ta::BoolExpr::truth()), opts);
   engine.explore_all_ids(
       [&](const mc::SymState& s, std::uint64_t) {
-        if (zones.size() < count) zones.push_back(s.zone);
+        if (out.states.size() < count) out.states.push_back(s);
       },
-      [&] { return zones.size() >= count; });
+      [&] { return out.states.size() >= count; });
+  return out;
+}
+
+/// The zones of pump_states(count).
+std::vector<dbm::Dbm> pump_zones(std::size_t count) {
+  std::vector<dbm::Dbm> zones;
+  for (const mc::SymState& s : pump_states(count).states) zones.push_back(s.zone);
   return zones;
 }
 
@@ -122,6 +136,27 @@ void BM_DbmRelationPump(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DbmRelationPump)->Arg(0)->Arg(1)->ArgNames({"relation"});
+
+// Successor generation on real pump states, finalize (invariants, delay,
+// freeing inactive clocks, extrapolation against the target's clock
+// bounds) included: the per-frontier-state work of a wave before routing
+// and insert. `time_per_succ` is the cost of one generated successor.
+void BM_SuccessorsPump(benchmark::State& state) {
+  const PumpStates pump = pump_states(1024);
+  const mc::SuccGen gen(pump.net, {});
+  std::size_t next = 0;
+  std::size_t successors = 0;
+  for (benchmark::State::StateIterator::value_type _ : state) {
+    (void)_;
+    const std::vector<mc::SymSuccessor> out = gen.successors(pump.states[next]);
+    next = (next + 1) % pump.states.size();
+    successors += out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["time_per_succ"] = benchmark::Counter(
+      static_cast<double>(successors), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SuccessorsPump);
 
 void BM_PimReachability(benchmark::State& state) {
   gpca::PumpModelOptions opt;

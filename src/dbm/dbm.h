@@ -77,9 +77,11 @@ class Dbm {
   bool intersects(int i, int j, raw_t bound) const;
 
   /// Classic maximal-constants extrapolation (ExtraM). `max_consts[i]` is
-  /// the largest constant compared against clock i anywhere in the model or
-  /// query; index 0 must be 0. A negative max constant means the clock is
-  /// never compared and is abstracted completely. Re-canonicalizes.
+  /// the largest constant clock i can still be compared against in the
+  /// model or query (mc::SuccGen passes per-location bounds); index 0 must
+  /// be 0. A negative max constant clamps to 0: only clock i's distinction
+  /// between 0 and positive values survives (free_clock drops even that).
+  /// Re-canonicalizes.
   void extrapolate_max_bounds(const std::vector<std::int32_t>& max_consts);
 
   /// Upper bound entry of a clock (D[x][0]); kInf when unbounded above.

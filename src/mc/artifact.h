@@ -42,8 +42,10 @@ namespace psv::mc {
 /// Version 4 added memoized reachability and bounded-response results (the
 /// failing-path witness searches a repeated FAIL request re-runs). Version
 /// 5 dropped v4's skeleton digest and exported passed store, which only
-/// served the removed warm start.
-inline constexpr std::uint32_t kArtifactFormatVersion = 5;
+/// served the removed warm start. Version 6 keeps v5's layout but renders
+/// witness traces and counts states under the per-location zone
+/// abstraction (mc::SuccGen): a v5 trace need not replay any more.
+inline constexpr std::uint32_t kArtifactFormatVersion = 6;
 
 /// Content-addressed cache key; hex() names the artifact file.
 struct ArtifactKey {

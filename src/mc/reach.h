@@ -78,7 +78,8 @@ class Reachability {
   /// `extra_clock_consts` (entry per clock, -1 = none) extends the
   /// extrapolation constants beyond what the network and the goal formula
   /// mention — the sweep bound engine uses this to keep a probe clock's
-  /// upper bounds exact up to its current widening candidate.
+  /// upper bounds exact up to its current widening candidate. Every clock
+  /// with a constant here or in the goal is a query clock (SuccGen).
   Reachability(const ta::Network& net, const StateFormula& goal, ExploreOptions opts = {},
                std::vector<std::int32_t> extra_clock_consts = {});
   ~Reachability();

@@ -9,21 +9,18 @@ namespace psv::mc {
 
 using dbm::Dbm;
 
-SuccGen::SuccGen(const ta::Network& net, std::vector<std::int32_t> extra_clock_consts)
-    : net_(net) {
+SuccGen::SuccGen(const ta::Network& net, const std::vector<std::int32_t>& extra_clock_consts)
+    : net_(net), loc_bounds_(net) {
   ta::validate_or_throw(net);
-
-  // Extrapolation constants: network constants merged with query constants,
-  // shifted by one for the DBM reference clock at index 0.
-  std::vector<std::int32_t> from_net = ta::clock_max_constants(net);
-  if (!extra_clock_consts.empty()) {
-    PSV_REQUIRE_AS(::psv::ErrorCode::kVerify, extra_clock_consts.size() == from_net.size(),
-                "extra clock constant vector arity mismatch");
-    for (std::size_t i = 0; i < from_net.size(); ++i)
-      from_net[i] = std::max(from_net[i], extra_clock_consts[i]);
-  }
-  max_consts_.assign(static_cast<std::size_t>(net.num_clocks()) + 1, 0);
-  for (std::size_t i = 0; i < from_net.size(); ++i) max_consts_[i + 1] = from_net[i];
+  const std::vector<std::int32_t> global = ta::clock_max_constants(net);
+  PSV_REQUIRE_AS(::psv::ErrorCode::kVerify,
+                 extra_clock_consts.empty() || extra_clock_consts.size() == global.size(),
+                 "extra clock constant vector arity mismatch");
+  query_consts_.assign(global.size() + 1, -1);
+  query_consts_[0] = 0;
+  for (std::size_t i = 0; i < extra_clock_consts.size(); ++i)
+    if (extra_clock_consts[i] >= 0)
+      query_consts_[i + 1] = std::max(global[i], extra_clock_consts[i]);
 
   send_edges_.resize(net.channels().size());
   recv_edges_.resize(net.channels().size());
@@ -132,7 +129,20 @@ bool SuccGen::finalize(SymState& state) const {
     if (!apply_invariants(state.zone, state.locs)) return false;
   }
   if (state.zone.empty()) return false;
-  state.zone.extrapolate_max_bounds(max_consts_);
+  // The target's bound vector, built in a per-thread buffer (assignment
+  // reuses its capacity, so no allocation per successor).
+  thread_local std::vector<std::int32_t> bounds;
+  bounds = query_consts_;
+  const int n = loc_bounds_.num_clocks();
+  for (ta::AutomatonId a = 0; a < net_.num_automata(); ++a) {
+    const std::int32_t* row = loc_bounds_.row(a, state.locs[static_cast<std::size_t>(a)]);
+    for (int c = 0; c < n; ++c)
+      bounds[static_cast<std::size_t>(c) + 1] =
+          std::max(bounds[static_cast<std::size_t>(c) + 1], row[c]);
+  }
+  for (int i = 1; i <= n; ++i)
+    if (bounds[static_cast<std::size_t>(i)] < 0) state.zone.free_clock(i);
+  state.zone.extrapolate_max_bounds(bounds);
   return !state.zone.empty();
 }
 

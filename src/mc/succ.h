@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "mc/state.h"
+#include "ta/validate.h"
 
 namespace psv::mc {
 
@@ -38,9 +39,12 @@ struct SymSuccessor {
 /// Generates initial states and successors for a validated network.
 class SuccGen {
  public:
-  /// `extra_clock_consts` lets queries extend the extrapolation constants
-  /// (entry per clock, -1 = no additional constraint). Pass {} for none.
-  SuccGen(const ta::Network& net, std::vector<std::int32_t> extra_clock_consts);
+  /// `extra_clock_consts` marks the query clocks (entry per clock, -1 = not
+  /// a query clock; pass {} for none). A query clock is extrapolated with
+  /// max(ta::clock_max_constants, extra) at every location; every other
+  /// clock with the per-location bounds of ta::LocationClockBounds, and is
+  /// freed where it is inactive.
+  SuccGen(const ta::Network& net, const std::vector<std::int32_t>& extra_clock_consts);
 
   const ta::Network& net() const { return net_; }
 
@@ -77,7 +81,9 @@ class SuccGen {
   static void apply_resets(const ta::Update& update, dbm::Dbm& zone);
 
   /// Finish a successor: target invariants, optional delay closure,
-  /// invariants again, extrapolation. Returns false if the zone is empty.
+  /// invariants again, then free the clocks inactive at the target and
+  /// extrapolate the rest against its clock bounds. Returns false if the
+  /// zone is empty.
   bool finalize(SymState& state) const;
 
   /// Priority filter: with committed locations active, only edges leaving a
@@ -100,7 +106,10 @@ class SuccGen {
   std::string edge_label(const EdgeRef& ref) const;
 
   const ta::Network& net_;
-  std::vector<std::int32_t> max_consts_;  // indexed by DBM clock index (0..n)
+  ta::LocationClockBounds loc_bounds_;
+  /// Query clocks' global constants, -1 elsewhere; indexed by DBM clock
+  /// index (0..n), entry 0 is 0. The seed of every bound vector.
+  std::vector<std::int32_t> query_consts_;
   bool record_edges_ = false;
   // Edge indices grouped for fast lookup.
   std::vector<EdgeRef> internal_edges_;

@@ -201,7 +201,7 @@ TapResult tap_trace(const ta::Network& net, const mc::Trace& trace,
     if (!sys.order(i - 1, i, gen.time_frozen(prev.locs), result.error)) return result;
     // Source invariants hold until the jump (upper bounds: check at T_i),
     // then guards, both against the pre-step reset map (guards before
-    // resets, as in SuccGen::replay).
+    // resets, as in SuccGen::successors).
     if (!apply_invariants(prev, i)) return result;
     for (const mc::EdgeRef& ref : edges[static_cast<std::size_t>(i)])
       for (const ta::ClockConstraint& cc : edge_of(ref).guard.clocks)

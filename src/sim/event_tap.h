@@ -11,7 +11,7 @@
 //     state holds an urgent/committed location (time frozen);
 //   * every clock guard of step i's participating edges, evaluated at T_i
 //     against the clock's last reset (clock value = reset value + T_i -
-//     T_reset), guards before resets as in SuccGen::replay;
+//     T_reset), guards before resets as in SuccGen::successors;
 //   * every location invariant, enforced at the time its occupancy ends
 //     (upper-bound constraints only — ta::Location restricts invariants to
 //     kLt/kLe, so holding at the leave time implies holding throughout).

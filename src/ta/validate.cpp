@@ -150,4 +150,41 @@ std::vector<std::int32_t> clock_max_constants(const Network& net) {
   return max_consts;
 }
 
+LocationClockBounds::LocationClockBounds(const Network& net) : num_clocks_(net.num_clocks()) {
+  const auto n = static_cast<std::size_t>(num_clocks_);
+  for (const Automaton& aut : net.automata()) {
+    const std::size_t base = bounds_.size();
+    offsets_.push_back(base);
+    bounds_.resize(base + aut.locations().size() * n, -1);
+    auto cell = [&](LocId l, ClockId c) -> std::int32_t& {
+      return bounds_[base + static_cast<std::size_t>(l) * n + static_cast<std::size_t>(c)];
+    };
+    // Local reads: the location's invariant and its outgoing guards
+    // (undeclared clocks are validate()'s to report).
+    auto bump = [&](LocId l, const ClockConstraint& cc) {
+      if (cc.clock >= 0 && cc.clock < num_clocks_)
+        cell(l, cc.clock) = std::max(cell(l, cc.clock), cc.bound);
+    };
+    for (LocId l = 0; l < static_cast<LocId>(aut.locations().size()); ++l)
+      for (const ClockConstraint& cc : aut.location(l).invariant) bump(l, cc);
+    for (const Edge& e : aut.edges())
+      for (const ClockConstraint& cc : e.guard.clocks) bump(e.src, cc);
+    // Backward propagation along edges that do not reset the clock.
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (const Edge& e : aut.edges()) {
+        for (ClockId c = 0; c < num_clocks_; ++c) {
+          const std::int32_t later = cell(e.dst, c);
+          if (later <= cell(e.src, c)) continue;
+          const bool resets = std::any_of(e.update.resets.begin(), e.update.resets.end(),
+                                          [c](const ClockReset& r) { return r.clock == c; });
+          if (resets) continue;
+          cell(e.src, c) = later;
+          changed = true;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace psv::ta

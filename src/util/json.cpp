@@ -124,4 +124,9 @@ void Writer::value(bool v) {
   out_ << (v ? "true" : "false");
 }
 
+void Writer::value(std::nullptr_t) {
+  pre_value();
+  out_ << "null";
+}
+
 }  // namespace psv::json

@@ -9,6 +9,7 @@
 // gates diff these files byte-for-byte across runs).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -58,6 +59,8 @@ class Writer {
   void value(std::uint64_t v);
   void value(double v);
   void value(bool v);
+  /// Renders `null`.
+  void value(std::nullptr_t);
 
   /// key() + value() in one call.
   template <typename T>

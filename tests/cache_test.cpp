@@ -490,7 +490,7 @@ TEST(SessionPersistence, CorruptArtifactFallsBackToExploration) {
   EXPECT_GT(probe_session.stats().explorations, 0) << "must have re-explored";
 }
 
-// --- Artifact format v5 ----------------------------------------------------
+// --- Artifact format v6 ----------------------------------------------------
 
 /// Size of the artifact file header: magic, version, endianness marker, key
 /// echo, payload size and payload checksum.
@@ -514,10 +514,10 @@ std::vector<std::uint8_t> framed_artifact(std::uint32_t version, const mc::Artif
   return out.take();
 }
 
-// A format-v4 file (a v5 payload followed by v4's skeleton digest and its
-// passed-store section) written under the current key layout: the store
+// A format-v4 file (a current payload followed by v4's skeleton digest and
+// its passed-store section) written under the current key layout: the store
 // must treat it as a warned miss without throwing, and the session must
-// re-explore and replace it with a v5 file that loads.
+// re-explore and replace it with a current-format file that loads.
 TEST(ArtifactFormat, HandWrittenV4ArtifactIsACleanMiss) {
   TempCacheDir dir;
   std::vector<std::string> warnings;
@@ -548,16 +548,48 @@ TEST(ArtifactFormat, HandWrittenV4ArtifactIsACleanMiss) {
   ASSERT_TRUE(session.store(store));
 
   mc::VerificationSession reloaded(net, {});
-  EXPECT_TRUE(reloaded.load(store)) << "the v5 file written over it must load";
+  EXPECT_TRUE(reloaded.load(store)) << "the v6 file written over it must load";
   EXPECT_EQ(reloaded.max_clock_value(tiny_query(net)).bound, 30);
   EXPECT_EQ(reloaded.stats().explorations, 0);
 }
 
-// A v5 reload of the quickstart pipeline answers every stage without
-// exploring, and the cache directory holds nothing but v5 artifacts whose
-// payloads are exactly the memo sections: decoding and re-encoding each one
-// reproduces its bytes, so no passed-store section can hide in them.
-TEST(ArtifactFormat, V5ReloadExploresNothingAndStoresNoPassedStore) {
+// A format-v5 file has v6's layout byte for byte, but its witness traces and
+// state counts were rendered under the global-constant zone abstraction, so
+// SuccGen need not replay them any more. It must be a warned miss, never a
+// source of answers, and the session must replace it with a v6 file.
+TEST(ArtifactFormat, HandWrittenV5ArtifactIsACleanMiss) {
+  TempCacheDir dir;
+  std::vector<std::string> warnings;
+  mc::ArtifactStore store(dir.str(), [&warnings](const std::string& w) { warnings.push_back(w); });
+  const Network net = tiny_net();
+
+  mc::VerificationSession session(net, {});
+  write_file_bytes(store.path_of(session.cache_key()),
+                   framed_artifact(5, session.cache_key(), sample_artifact().serialize()));
+  std::optional<mc::VerificationArtifact> loaded;
+  EXPECT_NO_THROW(loaded = store.load(session.cache_key()));
+  EXPECT_FALSE(loaded.has_value());
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("version 5"), std::string::npos) << warnings[0];
+
+  EXPECT_FALSE(session.load(store));
+  const mc::MaxClockResult result = session.max_clock_value(tiny_query(net));
+  ASSERT_TRUE(result.bounded);
+  EXPECT_EQ(result.bound, 30);
+  EXPECT_GT(session.stats().explorations, 0) << "a v5 file must not serve answers";
+  ASSERT_TRUE(session.store(store));
+
+  mc::VerificationSession reloaded(net, {});
+  EXPECT_TRUE(reloaded.load(store)) << "the v6 file written over it must load";
+  EXPECT_EQ(reloaded.max_clock_value(tiny_query(net)).bound, 30);
+  EXPECT_EQ(reloaded.stats().explorations, 0);
+}
+
+// A current-format reload of the quickstart pipeline answers every stage
+// without exploring, and the cache directory holds nothing but v6 artifacts
+// whose payloads are exactly the memo sections: decoding and re-encoding each
+// one reproduces its bytes, so no passed-store section can hide in them.
+TEST(ArtifactFormat, CurrentFormatReloadExploresNothingAndStoresNoPassedStore) {
   const std::string model_dir = find_model_dir();
   if (model_dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
   core::VerifyRequest request;
@@ -589,7 +621,7 @@ TEST(ArtifactFormat, V5ReloadExploresNothingAndStoresNoPassedStore) {
     ByteReader header(bytes.data(), kArtifactHeaderSize);
     char magic[4];
     header.raw(magic, sizeof magic);
-    EXPECT_EQ(header.u32(), 5u) << file.path();
+    EXPECT_EQ(header.u32(), mc::kArtifactFormatVersion) << file.path();
     const std::vector<std::uint8_t> payload(bytes.begin() + kArtifactHeaderSize, bytes.end());
     ByteReader reader(payload);
     const mc::VerificationArtifact decoded = mc::VerificationArtifact::deserialize(reader);

@@ -1,12 +1,16 @@
 // The shared typed flag registry (util/cli.h) used by psv_verify and
 // psv_serve: typed parsing, positionals, switches, custom flags, env
-// fallbacks, error classification (kParse), and --help generation.
+// fallbacks, error classification (kParse), and --help generation. One
+// end-to-end case runs the psv_verify binary itself for its --stats-json.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "model_paths.h"
 #include "util/cli.h"
 #include "util/error.h"
 
@@ -142,6 +146,32 @@ TEST(CliParser, GeneratedHelp) {
   EXPECT_NE(help.find("--quiet"), std::string::npos);
   EXPECT_NE(help.find("$PSV_CLI_TEST_DIR"), std::string::npos);
   EXPECT_NE(help.find("Exit status: 0 on success."), std::string::npos);
+}
+
+// --stats-json carries the run's peak RSS as a top-level number: VmHWM
+// from /proc/self/status, null where that file does not exist.
+TEST(StatsJson, TopLevelPeakRss) {
+  const std::string model_dir = testing::find_model_dir();
+  if (model_dir.empty()) GTEST_SKIP() << "example model files not found from test cwd";
+  const std::filesystem::path out =
+      std::filesystem::temp_directory_path() /
+      ("psv-cli-test-stats-" + std::to_string(std::random_device{}()) + ".json");
+  const std::string command = std::string(PSV_VERIFY_BIN) + " " + model_dir + "quickstart.psv " +
+                              model_dir + "fast.pss \"QREQ: Req -> Ack within 80\" --jobs 1" +
+                              " --stats-json " + out.string() + " > /dev/null";
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  const std::string json = testing::read_file(out.string());
+  std::filesystem::remove(out);
+
+  const std::string key = "\n  \"peak_rss_mb\": ";  // one level deep: top level
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  const std::string value = json.substr(at + key.size(), json.find(',', at) - at - key.size());
+#ifdef __linux__
+  EXPECT_GT(std::stod(value), 0.0) << value;
+#else
+  EXPECT_TRUE(value == "null" || std::stod(value) > 0.0) << value;
+#endif
 }
 
 }  // namespace

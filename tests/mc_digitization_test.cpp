@@ -6,15 +6,25 @@
 // so a brute-force BFS over integer clock valuations (with clocks capped
 // one past the largest constant) must agree with the DBM engine on every
 // reachability question. Random networks are generated per seed and every
-// (automaton, location) pair is compared.
+// (automaton, location) pair is compared. Closed zones have integer upper
+// bounds, so the maximum of each clock at each location must agree too
+// wherever the discrete maximum lies below its cap (mc::max_clock_values).
+//
+// A second generator builds networks whose clocks are inactive at some
+// locations (reset before every later read), with one clock shared by both
+// automata: the zone engine frees those clocks and extrapolates the rest
+// per location (ta::LocationClockBounds), and must still agree.
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <optional>
 #include <random>
 #include <set>
 
+#include "mc/query.h"
 #include "mc/reach.h"
 #include "ta/model.h"
+#include "ta/validate.h"
 
 namespace psv::mc {
 namespace {
@@ -55,6 +65,16 @@ class DiscreteChecker {
     for (const DiscreteState& s : visited_)
       if (s.locs[static_cast<std::size_t>(a)] == l) return true;
     return false;
+  }
+
+  /// Largest (capped) value of `clock` over the reachable states at (a, l);
+  /// nullopt when the location is unreachable.
+  std::optional<std::int32_t> max_clock_at(AutomatonId a, LocId l, ClockId clock) const {
+    std::optional<std::int32_t> best;
+    for (const DiscreteState& s : visited_)
+      if (s.locs[static_cast<std::size_t>(a)] == l)
+        best = std::max(best.value_or(0), s.clocks[static_cast<std::size_t>(clock)]);
+    return best;
   }
 
  private:
@@ -190,13 +210,68 @@ Network random_network(std::mt19937& gen) {
   return net;
 }
 
-class DigitizationTest : public ::testing::TestWithParam<int> {};
+/// Networks with inactive clocks: clock 0 is shared (both automata read and
+/// reset it), clock 1 + a is local to automaton a. Each automaton is a ring
+/// through all its locations plus a few shortcuts, so reads reach back over
+/// chains of edges; local clocks are reset on about half the edges, so from
+/// some locations every path resets them before its next read. Invariants
+/// are denser than in random_network: they are reads too.
+Network inactive_clock_network(std::mt19937& gen) {
+  Network net("inactive");
+  std::uniform_int_distribution<int> loc_count(3, 5);
+  std::uniform_int_distribution<int> extra_edges(0, 2);
+  std::uniform_int_distribution<std::int32_t> constant(0, kMaxConst);
+  std::uniform_int_distribution<int> coin(0, 1);
+  std::uniform_int_distribution<int> die(0, 5);
 
-TEST_P(DigitizationTest, ZoneEngineAgreesWithDiscreteChecker) {
-  std::mt19937 gen(static_cast<unsigned>(GetParam()));
-  const Network net = random_network(gen);
+  const ClockId shared = net.add_clock("s");
+  const ChanId chan = net.add_channel("sync", ChanKind::kBinary);
+  for (int a = 0; a < 2; ++a) {
+    const ClockId local = net.add_clock("l" + std::to_string(a));
+    auto pick = [&]() { return coin(gen) == 1 ? local : shared; };
+    Automaton aut("A" + std::to_string(a));
+    const int n_locs = loc_count(gen);
+    for (int l = 0; l < n_locs; ++l) {
+      std::vector<ClockConstraint> inv;
+      if (die(gen) < 2) inv.push_back(cc_le(pick(), constant(gen)));
+      aut.add_location("L" + std::to_string(l), LocKind::kNormal, std::move(inv));
+    }
+    std::uniform_int_distribution<int> loc_pick(0, n_locs - 1);
+    const int n_edges = n_locs + extra_edges(gen);
+    for (int e = 0; e < n_edges; ++e) {
+      Edge edge;
+      // A ring through every location, plus a few random shortcuts.
+      edge.src = e < n_locs ? e : loc_pick(gen);
+      edge.dst = e < n_locs ? (e + 1) % n_locs : loc_pick(gen);
+      if (die(gen) < 4)
+        edge.guard.clocks.push_back(coin(gen) == 1 ? cc_ge(pick(), constant(gen))
+                                                   : cc_le(pick(), constant(gen)));
+      const int role = die(gen);
+      if (role == 0) {
+        edge.sync = SyncLabel::send(chan);
+      } else if (role == 1) {
+        edge.sync = SyncLabel::receive(chan);
+      }
+      if (coin(gen) == 1) edge.update.resets.push_back({local, 0});
+      if (die(gen) == 0) edge.update.resets.push_back({shared, 0});
+      aut.add_edge(std::move(edge));
+    }
+    net.add_automaton(std::move(aut));
+  }
+  return net;
+}
+
+/// Query limit of the maximum-clock comparison: well past the discrete cap.
+constexpr std::int64_t kQueryLimit = 64;
+
+/// Compare location reachability and every clock's maximum at every location
+/// between the zone engine and the discrete checker.
+void expect_agreement(const Network& net, int seed) {
   const DiscreteChecker discrete(net);
 
+  std::vector<BoundQuery> queries;
+  std::vector<std::int32_t> expected;  // discrete maximum, -1 if unreachable
+  std::vector<std::string> where;
   for (AutomatonId a = 0; a < net.num_automata(); ++a) {
     const Automaton& aut = net.automaton(a);
     for (LocId l = 0; l < static_cast<LocId>(aut.locations().size()); ++l) {
@@ -206,12 +281,85 @@ TEST_P(DigitizationTest, ZoneEngineAgreesWithDiscreteChecker) {
       const bool discrete_says = discrete.loc_reachable(a, l);
       EXPECT_EQ(zone_says, discrete_says)
           << "disagreement on " << aut.name() << "." << aut.location(l).name << " (seed "
-          << GetParam() << ")";
+          << seed << ")";
+      for (ClockId c = 0; c < net.num_clocks(); ++c) {
+        BoundQuery q;
+        q.pred = goal;
+        q.clock = c;
+        q.limit = kQueryLimit;
+        q.hint = kMaxConst + 2;
+        q.top_k = 0;
+        queries.push_back(q);
+        expected.push_back(discrete.max_clock_at(a, l, c).value_or(-1));
+        where.push_back(aut.name() + "." + aut.location(l).name + " " + net.clock_name(c));
+      }
+    }
+  }
+
+  const std::vector<MaxClockResult> results = max_clock_values(net, queries);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const MaxClockResult& r = results[i];
+    if (expected[i] < 0) {
+      EXPECT_TRUE(r.condition_unreachable) << where[i] << " (seed " << seed << ")";
+    } else if (expected[i] <= kMaxConst) {
+      // Below the cap the discrete maximum is the real one.
+      EXPECT_TRUE(r.bounded) << where[i] << " (seed " << seed << ")";
+      EXPECT_EQ(r.bound, expected[i]) << where[i] << " (seed " << seed << ")";
+    } else {
+      EXPECT_TRUE(!r.bounded || r.bound > kMaxConst) << where[i] << " (seed " << seed << ")";
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DigitizationTest, ::testing::Range(0, 40));
+/// Stored states of `net` in which some clock that the network does compare
+/// is inactive in every automaton's current location — the states whose
+/// zones the engine frees that clock in.
+std::size_t states_with_freed_clocks(const Network& net) {
+  const LocationClockBounds bounds(net);
+  const std::vector<std::int32_t> global = clock_max_constants(net);
+  std::size_t count = 0;
+  Reachability engine(net, StateFormula{});
+  engine.explore_all([&](const SymState& state) {
+    for (ClockId c = 0; c < net.num_clocks(); ++c) {
+      if (global[static_cast<std::size_t>(c)] < 0) continue;
+      bool inactive = true;
+      for (AutomatonId a = 0; a < net.num_automata(); ++a)
+        inactive = inactive && bounds.bound(a, state.locs[static_cast<std::size_t>(a)], c) < 0;
+      if (inactive) {
+        ++count;
+        return;
+      }
+    }
+  });
+  return count;
+}
+
+constexpr int kSeeds = 40;
+
+class DigitizationTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DigitizationTest, ZoneEngineAgreesWithDiscreteChecker) {
+  std::mt19937 gen(static_cast<unsigned>(GetParam()));
+  expect_agreement(random_network(gen), GetParam());
+}
+
+TEST_P(DigitizationTest, InactiveClockNetsAgreeWithDiscreteChecker) {
+  std::mt19937 gen(static_cast<unsigned>(GetParam()));
+  expect_agreement(inactive_clock_network(gen), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DigitizationTest, ::testing::Range(0, kSeeds));
+
+// The oracle above only checks freed clocks if the seeds reach states that
+// free one: most inactive-clock nets must.
+TEST(Digitization, InactiveClockSeedsExerciseFreedClocks) {
+  int exercising = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    std::mt19937 gen(static_cast<unsigned>(seed));
+    exercising += states_with_freed_clocks(inactive_clock_network(gen)) > 0 ? 1 : 0;
+  }
+  EXPECT_GE(exercising, kSeeds / 2) << exercising << " of " << kSeeds << " seeds free a clock";
+}
 
 }  // namespace
 }  // namespace psv::mc

@@ -545,6 +545,45 @@ TEST(Engine, SubsumptionPrunesStates) {
   EXPECT_LE(stats.states_stored, 3u) << "zone inclusion must collapse the loop";
 }
 
+TEST(Engine, InactiveClockDoesNotSplitStates) {
+  // Two edges into L1 at x == 2, one resetting y. Both reach L1 with the
+  // same x but y = x - 2 vs y = x: incomparable zones under a global
+  // constant for y. L1 -> L2 resets y before L2 reads it, so y is dead at
+  // L1, freed there, and the two arrivals collapse to one state.
+  Network net("inactive");
+  const ClockId x = net.add_clock("x");
+  const ClockId y = net.add_clock("y");
+  Automaton a("A");
+  const LocId l0 = a.add_location("L0");
+  const LocId l1 = a.add_location("L1");
+  const LocId l2 = a.add_location("L2");
+  const LocId l3 = a.add_location("L3");
+  auto add = [&a](LocId src, LocId dst, std::vector<ClockConstraint> guard,
+                  std::vector<ClockReset> resets) {
+    Edge e;
+    e.src = src;
+    e.dst = dst;
+    e.guard.clocks = std::move(guard);
+    e.update.resets = std::move(resets);
+    a.add_edge(e);
+  };
+  add(l0, l1, {cc_eq(x, 2)}, {{y, 0}});
+  add(l0, l1, {cc_eq(x, 2)}, {});
+  add(l1, l2, {cc_le(x, 100)}, {{y, 0}});
+  add(l2, l3, {cc_ge(y, 10)}, {});
+  net.add_automaton(std::move(a));
+
+  int at_l1 = 0;
+  bool reached_l3 = false;
+  Reachability engine(net, StateFormula{});
+  engine.explore_all([&](const SymState& s) {
+    at_l1 += s.locs[0] == l1 ? 1 : 0;
+    reached_l3 = reached_l3 || s.locs[0] == l3;
+  });
+  EXPECT_EQ(at_l1, 1) << "states differing only in the dead clock y must collapse";
+  EXPECT_TRUE(reached_l3);
+}
+
 TEST(Engine, StateLimitEnforced) {
   // Unbounded counter chain exceeds a tiny limit.
   Network net("big");

@@ -1,6 +1,9 @@
 // Tests for the timed-automata model, validation and printing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "ta/model.h"
 #include "ta/print.h"
 #include "ta/validate.h"
@@ -267,6 +270,129 @@ TEST(ClockMaxConstants, CollectsFromGuardsInvariantsResets) {
   EXPECT_EQ(consts[static_cast<std::size_t>(x)], 250);
   EXPECT_EQ(consts[static_cast<std::size_t>(y)], 30);
   EXPECT_EQ(consts[static_cast<std::size_t>(z)], -1);  // never compared
+}
+
+// --- LocationClockBounds ----------------------------------------------------
+
+/// Add src -> dst to `aut` with the given clock guard and resets.
+void add_edge(Automaton& aut, LocId src, LocId dst, std::vector<ClockConstraint> guard = {},
+              std::vector<ClockReset> resets = {}) {
+  Edge e;
+  e.src = src;
+  e.dst = dst;
+  e.guard.clocks = std::move(guard);
+  e.update.resets = std::move(resets);
+  aut.add_edge(e);
+}
+
+TEST(LocationClockBounds, ClockResetBeforeEveryReadIsInactive) {
+  Network net;
+  const ClockId x = net.add_clock("x");
+  Automaton a("A");
+  const LocId l0 = a.add_location("L0");
+  const LocId l1 = a.add_location("L1");
+  const LocId l2 = a.add_location("L2");
+  const LocId l3 = a.add_location("L3");
+  add_edge(a, l0, l1, {}, {{x, 0}});
+  add_edge(a, l0, l2, {}, {{x, 0}});
+  add_edge(a, l1, l3, {cc_ge(x, 3)});
+  add_edge(a, l2, l3, {cc_le(x, 8)});
+  add_edge(a, l3, l0, {cc_ge(x, 2)}, {{x, 0}});  // a resetting edge's own guard still counts
+  net.add_automaton(std::move(a));
+
+  const LocationClockBounds bounds(net);
+  EXPECT_EQ(bounds.num_clocks(), 1);
+  EXPECT_EQ(bounds.bound(0, l0, x), -1) << "every path from L0 resets x before reading it";
+  EXPECT_EQ(bounds.bound(0, l1, x), 3);
+  EXPECT_EQ(bounds.bound(0, l2, x), 8);
+  EXPECT_EQ(bounds.bound(0, l3, x), 2);
+}
+
+TEST(LocationClockBounds, TargetInvariantKeepsClockActiveInSource) {
+  Network net;
+  const ClockId x = net.add_clock("x");
+  Automaton a("A");
+  const LocId l0 = a.add_location("L0");
+  const LocId l1 = a.add_location("L1", LocKind::kNormal, {cc_le(x, 7)});
+  const LocId l2 = a.add_location("L2");
+  const LocId l3 = a.add_location("L3", LocKind::kNormal, {cc_le(x, 9)});
+  add_edge(a, l0, l1);
+  add_edge(a, l2, l3, {}, {{x, 0}});
+  net.add_automaton(std::move(a));
+
+  const LocationClockBounds bounds(net);
+  EXPECT_EQ(bounds.bound(0, l0, x), 7) << "L1's invariant reads x on arrival";
+  EXPECT_EQ(bounds.bound(0, l1, x), 7);
+  EXPECT_EQ(bounds.bound(0, l2, x), -1) << "the edge into L3 resets x first";
+  EXPECT_EQ(bounds.bound(0, l3, x), 9);
+}
+
+TEST(LocationClockBounds, ReadPropagatesBackThroughNonResettingChain) {
+  Network net;
+  const ClockId x = net.add_clock("x");
+  const ClockId y = net.add_clock("y");
+  Automaton a("A");
+  std::vector<LocId> l;
+  for (int i = 0; i < 5; ++i) l.push_back(a.add_location("L" + std::to_string(i)));
+  add_edge(a, l[0], l[1], {}, {{y, 0}});
+  add_edge(a, l[1], l[2], {cc_le(y, 2)});
+  add_edge(a, l[2], l[3]);
+  add_edge(a, l[3], l[4], {cc_ge(x, 9), cc_ge(y, 4)});
+  add_edge(a, l[4], l[0]);  // a cycle: L4 reaches the read at L3 again
+  net.add_automaton(std::move(a));
+
+  const LocationClockBounds bounds(net);
+  for (LocId loc : l) EXPECT_EQ(bounds.bound(0, loc, x), 9) << "x at L" << loc;
+  EXPECT_EQ(bounds.bound(0, l[0], y), -1) << "L0 -> L1 resets y before any read";
+  EXPECT_EQ(bounds.bound(0, l[1], y), 4);
+  EXPECT_EQ(bounds.bound(0, l[2], y), 4);
+  EXPECT_EQ(bounds.bound(0, l[3], y), 4);
+  EXPECT_EQ(bounds.bound(0, l[4], y), -1);
+}
+
+TEST(LocationClockBounds, SharedClockStaysActiveWhileEitherAutomatonMayReadIt) {
+  Network net;
+  const ClockId x = net.add_clock("x");
+  Automaton a("A");
+  const LocId a0 = a.add_location("A0");
+  const LocId a1 = a.add_location("A1");
+  add_edge(a, a0, a1, {cc_ge(x, 2)}, {{x, 0}});
+  net.add_automaton(std::move(a));
+  Automaton b("B");
+  const LocId b0 = b.add_location("B0");
+  const LocId b1 = b.add_location("B1");
+  add_edge(b, b0, b1, {cc_le(x, 6)});
+  net.add_automaton(std::move(b));
+
+  const LocationClockBounds bounds(net);
+  // The network's bound at a location vector is the max over its rows.
+  auto at = [&](LocId la, LocId lb) {
+    return std::max(bounds.bound(0, la, x), bounds.bound(1, lb, x));
+  };
+  EXPECT_EQ(bounds.bound(0, a1, x), -1) << "A never reads x again after A0";
+  EXPECT_EQ(at(a1, b0), 6) << "B may still read x although A reset it";
+  EXPECT_EQ(at(a0, b1), 2) << "A may still read x although B is done with it";
+  EXPECT_EQ(at(a0, b0), 6);
+  EXPECT_EQ(at(a1, b1), -1) << "neither automaton reads x any more";
+}
+
+TEST(LocationClockBounds, NeverComparedClockIsInactiveEverywhere) {
+  Network net;
+  const ClockId x = net.add_clock("x");
+  const ClockId z = net.add_clock("z");
+  Automaton a("A");
+  const LocId l0 = a.add_location("L0", LocKind::kNormal, {cc_le(x, 5)});
+  const LocId l1 = a.add_location("L1");
+  add_edge(a, l0, l1, {cc_ge(x, 1)}, {{z, 3}});  // written, never read
+  add_edge(a, l1, l0, {}, {{x, 0}});
+  net.add_automaton(std::move(a));
+
+  const LocationClockBounds bounds(net);
+  EXPECT_EQ(clock_max_constants(net)[static_cast<std::size_t>(z)], 3) << "resets count globally";
+  EXPECT_EQ(bounds.bound(0, l0, z), -1);
+  EXPECT_EQ(bounds.bound(0, l1, z), -1);
+  EXPECT_EQ(bounds.bound(0, l0, x), 5);
+  EXPECT_EQ(bounds.bound(0, l1, x), -1);
 }
 
 TEST(Print, GuardAndUpdateStrings) {

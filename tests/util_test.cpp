@@ -88,6 +88,15 @@ TEST(Json, WriterNestsObjectsAndArrays) {
             "}");
 }
 
+TEST(Json, NullValue) {
+  std::ostringstream os;
+  json::Writer w(os, 0);
+  w.begin_object();
+  w.field("rss", nullptr);
+  w.end_object();
+  EXPECT_EQ(os.str(), "{\"rss\":null}");
+}
+
 TEST(Json, CompactModeAndKeyEscaping) {
   std::ostringstream os;
   json::Writer w(os, 0);

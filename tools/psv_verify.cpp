@@ -307,6 +307,15 @@ void write_synth_counters(psv::json::Writer& w, const psv::core::SynthStats& sta
   w.field("fresh_states", stats.fresh_states);
 }
 
+/// Peak resident set size of this process in MB (VmHWM in
+/// /proc/self/status); nullopt where that file is unavailable.
+std::optional<double> peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;  // kB
+  return std::nullopt;
+}
+
 /// The stats JSON: the historical single-run fields (model, requirement,
 /// verified, stages — read by the CI gates) describe the FIRST job's first
 /// scheme/requirement; the "batch" array carries every job in full. Synthesis
@@ -349,6 +358,12 @@ void write_stats_json(const std::string& path, const std::vector<JobOutcome>& ou
   w.field("engine", engine);
   w.field("jobs", jobs);
   w.field("total_wall_ms", total_wall_ms);
+  w.key("peak_rss_mb");
+  if (const std::optional<double> rss = peak_rss_mb()) {
+    w.value(*rss);
+  } else {
+    w.value(nullptr);
+  }
   w.key("cache");
   w.begin_object();
   w.field("enabled", !cache_dir.empty());
